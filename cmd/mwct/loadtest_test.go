@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/malleable-sched/malleable/internal/engine"
 	"github.com/malleable-sched/malleable/internal/workload"
@@ -446,6 +447,30 @@ func TestLoadtestTraceReplayAcrossFleet(t *testing.T) {
 				t.Errorf("shards=%d: replay report misses %q:\n%s", shards, want, out)
 			}
 		}
+	}
+}
+
+// A legal trace whose second task's virtual key overflows to +Inf (volume
+// 1e300 over weight 1e-10) can never finish that task: `mwct loadtest
+// -trace-in` must exit with the engine's starvation error, not hang.
+func TestLoadtestTraceInInfiniteKeyTerminates(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "infinite-key.jsonl")
+	trace := `{"task":{"weight":1,"volume":1,"delta":8},"release":0}
+{"task":{"weight":1e-10,"volume":1e300,"delta":8},"release":0}
+{"task":{"weight":1,"volume":2,"delta":8},"release":0.5}
+`
+	if err := os.WriteFile(path, []byte(trace), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- runLoadtest([]string{"-shards", "1", "-trace-in", path, "-mem=false"}) }()
+	select {
+	case err := <-done:
+		if err == nil || !strings.Contains(err.Error(), "starves all remaining tasks") {
+			t.Fatalf("err = %v, want the starvation error", err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("loadtest -trace-in did not finish within 30s")
 	}
 }
 

@@ -27,19 +27,25 @@ func allocArrivals(t testing.TB, n int, seed int64) []Arrival {
 // reused Result performs no heap allocation at all — zero allocs per run,
 // hence zero allocs per steady-state event — under the default LinearCap
 // model, for every non-clairvoyant bundled policy including the rank-scratch
-// priority policy (whose scratch lives in the per-run clone).
+// priority policy (whose scratch lives in the per-run clone). The
+// deep-backlog case keeps thousands of keys in the virtual-clock key heap.
 func TestSteadyStateZeroAllocsPerEvent(t *testing.T) {
 	arrivals := allocArrivals(t, 512, 99)
 	priority := make([]int, len(arrivals))
 	for i := range priority {
 		priority[i] = len(arrivals) - 1 - i
 	}
-	policies := map[string]Policy{
-		"wdeq":          WDEQPolicy{},
-		"weight-greedy": WeightGreedyPolicy{},
-		"priority":      PriorityPolicy{Priority: priority},
+	cases := map[string]struct {
+		policy   Policy
+		arrivals []Arrival
+	}{
+		"wdeq":              {WDEQPolicy{}, arrivals},
+		"weight-greedy":     {WeightGreedyPolicy{}, arrivals},
+		"priority":          {PriorityPolicy{Priority: priority}, arrivals},
+		"wdeq-deep-backlog": {WDEQPolicy{}, deepBacklogArrivals(t, 4096, 1)},
 	}
-	for name, policy := range policies {
+	for name, c := range cases {
+		policy, arrivals := c.policy, c.arrivals
 		t.Run(name, func(t *testing.T) {
 			runner := NewRunner()
 			res := &Result{}

@@ -282,7 +282,7 @@ type Options struct {
 	ProbeInterval float64
 	// EventCore selects the data structures behind the event loop's
 	// completion search (see the EventCore doc in eventqueue.go). The default
-	// CoreAuto is the calendar-queue/heap core; CoreNaive is the linear-scan
+	// CoreAuto is the indexed-heap core; CoreNaive is the linear-scan
 	// reference. Results are identical under both — the knob exists for the
 	// equivalence tests and for measuring the structures themselves.
 	EventCore EventCore
@@ -319,23 +319,26 @@ func RunWithOptions(p float64, policy Policy, arrivals []Arrival, opts Options) 
 // the event-core notes on Stepper) and remaining is materialized lazily when
 // the segment ends or the task completes.
 type liveTask struct {
-	arr                  Arrival
-	id                   int
-	remaining, processed float64
+	// The arrival fields the loop reads (the task name is never needed).
+	release, weight, volume, delta, curve float64
+	tenant                                int
+	id                                    int
+	remaining, processed                  float64
 
 	// Virtual-clock state, valid while the run's policy certifies
-	// equal-share (EqualShareCertifier): w is the certified share weight,
-	// dratio = min(Delta, p)/w is the eligibility key (the fast path engages
-	// while p/W ≤ min dratio, i.e. no task is degree-pinned), ktol is the
-	// completion tolerance mapped into key space, and key is the virtual
-	// completion time vnow_assign + remaining/w (valid while virtual).
-	w, dratio, ktol, key float64
-
-	// quot caches the task's completion quotient remaining/rate in the
-	// fallback completion heap (CoreAuto), so unchanged slots skip the
-	// heap update.
-	quot float64
+	// equal-share (EqualShareCertifier): w is the certified share weight
+	// and key is the virtual completion time vnow_assign + remaining/w
+	// (valid while virtual). dratio and ktol derive from them.
+	w, key float64
 }
+
+// dratio is the eligibility key min(Delta, p)/w: the virtual fast path
+// engages while p/W ≤ min dratio, i.e. while no task is degree-pinned.
+func (lt *liveTask) dratio(p float64) float64 { return math.Min(lt.delta, p) / lt.w }
+
+// ktol is the fallback path's completion tolerance (remaining ≤
+// 1e-9·max(1, volume)) mapped into key space.
+func (lt *liveTask) ktol() float64 { return 1e-9 * math.Max(1, lt.volume) / lt.w }
 
 // Runner owns the reusable scratch of the engine event loop: the alive-task
 // slots, the policy's view of the alive set, the allocation output buffer,
@@ -358,12 +361,12 @@ type Runner struct {
 	rates  []float64
 	sorter arrivalSorter
 
-	// Event-core scratch (CoreAuto): the calendar queue over virtual
+	// Event-core scratch (CoreAuto): the (key, id) slot heap over virtual
 	// completion keys, the delta-ratio eligibility heap, the fallback
 	// completion-quotient heap, and a key buffer for bulk rebuilds. All of it
 	// is rebuilt from r.live on demand (validity flags), so Snapshot/Restore
 	// round-trips without capturing any of it.
-	cal        calendarQueue
+	vq         keyHeap
 	drh        idxHeap
 	qth        idxHeap
 	keyScratch []float64
@@ -629,7 +632,7 @@ type Stepper struct {
 	//     integrates it (vnow += vrate·dt with vrate = p/wsum) and each
 	//     task's completion is the static key assigned when it entered the
 	//     segment — no decrement sweep, no policy call; the next completion
-	//     is the minimum key in the calendar queue.
+	//     is the (key, id)-least slot of the key heap.
 	//   - fallback (everything else): the pre-existing arithmetic, verbatim
 	//     — eager decrement sweep, policy invocation, completion search over
 	//     remaining/rate quotients (indexed heap under CoreAuto, producing
@@ -724,7 +727,7 @@ func (r *Runner) start(res *Result, p float64, policy Policy, src arrivalSource,
 	} else {
 		r.drh.valid = false
 	}
-	r.cal.valid = false
+	r.vq.valid = false
 	r.qth.valid = false
 	// The event safety bound starts at its zero-admissions value and grows
 	// incrementally at admit time (+4 per task), so process() never has to
@@ -1107,13 +1110,12 @@ func (st *Stepper) process() (bool, error) {
 	// admitted). Doing both before the policy call coalesces simultaneous
 	// arrivals and completions into one event.
 	for st.havePending && st.pending.Release <= st.now {
-		lt := liveTask{arr: st.pending, id: st.pendingID, remaining: st.pending.Task.Volume}
+		a := &st.pending
+		lt := liveTask{release: a.Release, weight: a.Task.Weight, volume: a.Task.Volume,
+			delta: a.Task.Delta, curve: a.Task.Curve, tenant: a.Tenant,
+			id: st.pendingID, remaining: a.Task.Volume}
 		if st.certified {
-			lt.w = st.weigher.EqualShareWeight(st.pending.Task.Weight)
-			lt.dratio = math.Min(st.pending.Task.Delta, st.p) / lt.w
-			// The completion tolerance of the fallback path (remaining ≤
-			// 1e-9·max(1, volume)) mapped into key space.
-			lt.ktol = 1e-9 * math.Max(1, st.pending.Task.Volume) / lt.w
+			lt.w = st.weigher.EqualShareWeight(lt.weight)
 			st.wsum += lt.w
 			if st.virtual {
 				lt.key = st.vnow + lt.remaining/lt.w
@@ -1123,10 +1125,10 @@ func (st *Stepper) process() (bool, error) {
 		r.live = append(r.live, lt)
 		if st.core == CoreAuto {
 			if r.drh.valid {
-				r.drh.push(slot, lt.dratio)
+				r.drh.push(slot, lt.dratio(st.p))
 			}
-			if st.virtual && r.cal.valid {
-				r.cal.insert(slot, lt.key)
+			if st.virtual && r.vq.valid {
+				r.vq.push(r.live, slot)
 			}
 		}
 		st.admitted++
@@ -1146,7 +1148,7 @@ func (st *Stepper) process() (bool, error) {
 	} else {
 		for k := 0; k < len(r.live); {
 			lt := &r.live[k]
-			if lt.remaining > 1e-9*math.Max(1, lt.arr.Task.Volume) {
+			if lt.remaining > 1e-9*math.Max(1, lt.volume) {
 				k++
 				continue
 			}
@@ -1168,7 +1170,7 @@ func (st *Stepper) process() (bool, error) {
 		st.virtual = false
 		st.vnow = 0
 		st.wsum = 0
-		r.cal.valid = false
+		r.vq.valid = false
 		if !st.havePending && !(st.feedable && !st.closed) {
 			st.done = true
 			return false, nil
@@ -1221,11 +1223,11 @@ func (st *Stepper) process() (bool, error) {
 		lt := &r.live[i]
 		r.states = append(r.states, TaskState{
 			ID:        lt.id,
-			Tenant:    lt.arr.Tenant,
-			Release:   lt.arr.Release,
-			Weight:    lt.arr.Task.Weight,
-			Delta:     math.Min(lt.arr.Task.Delta, budget),
-			Curve:     lt.arr.Task.Curve,
+			Tenant:    lt.tenant,
+			Release:   lt.release,
+			Weight:    lt.weight,
+			Delta:     math.Min(lt.delta, budget),
+			Curve:     lt.curve,
 			Processed: lt.processed,
 			Remaining: lt.remaining,
 		})
@@ -1282,11 +1284,11 @@ func (st *Stepper) emitRetired(lt *liveTask, processed float64) {
 	res := st.res
 	m := TaskMetrics{
 		ID:         lt.id,
-		Tenant:     lt.arr.Tenant,
-		Weight:     lt.arr.Task.Weight,
-		Release:    lt.arr.Release,
+		Tenant:     lt.tenant,
+		Weight:     lt.weight,
+		Release:    lt.release,
 		Completion: st.now,
-		Flow:       st.now - lt.arr.Release,
+		Flow:       st.now - lt.release,
 		Processed:  processed,
 	}
 	if st.sink != nil {
@@ -1312,8 +1314,8 @@ func (st *Stepper) removeSlot(k int) {
 		if r.drh.valid {
 			r.drh.removeSlot(k)
 		}
-		if r.cal.valid {
-			r.cal.removeSlot(k)
+		if r.vq.valid {
+			r.vq.removeSlot(r.live, k)
 		}
 		if r.qth.valid {
 			r.qth.removeSlot(k)
@@ -1326,8 +1328,8 @@ func (st *Stepper) removeSlot(k int) {
 			if r.drh.valid {
 				r.drh.renumber(last, k)
 			}
-			if r.cal.valid {
-				r.cal.renumber(last, k)
+			if r.vq.valid {
+				r.vq.renumber(last, k)
 			}
 			if r.qth.valid {
 				r.qth.renumber(last, k)
@@ -1349,17 +1351,17 @@ func (st *Stepper) retireVirtual() {
 			return
 		}
 		lt := &r.live[slot]
-		if lt.key > st.vnow+lt.ktol {
+		if lt.key > st.vnow+lt.ktol() {
 			return
 		}
 		rem := lt.w * (lt.key - st.vnow)
-		st.emitRetired(lt, lt.arr.Task.Volume-rem)
+		st.emitRetired(lt, lt.volume-rem)
 		st.removeSlot(slot)
 	}
 }
 
 // minKeySlot returns the slot holding the (key, id)-least virtual completion
-// key: the calendar queue under CoreAuto (rebuilt from the live slots if a
+// key: the key heap under CoreAuto (rebuilt from the live slots if a
 // restore or transition invalidated it), the reference scan under CoreNaive.
 func (st *Stepper) minKeySlot() (int, bool) {
 	r := st.r
@@ -1367,10 +1369,10 @@ func (st *Stepper) minKeySlot() (int, bool) {
 		return 0, false
 	}
 	if st.core == CoreAuto {
-		if !r.cal.valid {
-			r.cal.rebuildCalendar(r.live, st.vnow)
+		if !r.vq.valid {
+			r.vq.rebuild(r.live)
 		}
-		return r.cal.peekMin(r.live)
+		return r.vq.peekMin()
 	}
 	best := 0
 	for i := 1; i < len(r.live); i++ {
@@ -1390,7 +1392,7 @@ func (st *Stepper) minDratio() float64 {
 		if !r.drh.valid {
 			r.keyScratch = growFloat(r.keyScratch, len(r.live))
 			for i := range r.live {
-				r.keyScratch[i] = r.live[i].dratio
+				r.keyScratch[i] = r.live[i].dratio(st.p)
 			}
 			r.drh.rebuild(r.keyScratch[:len(r.live)])
 		}
@@ -1398,8 +1400,8 @@ func (st *Stepper) minDratio() float64 {
 	}
 	min := math.Inf(1)
 	for i := range r.live {
-		if r.live[i].dratio < min {
-			min = r.live[i].dratio
+		if d := r.live[i].dratio(st.p); d < min {
+			min = d
 		}
 	}
 	return min
@@ -1407,8 +1409,8 @@ func (st *Stepper) minDratio() float64 {
 
 // enterVirtual starts a virtual segment: every alive task's completion is
 // frozen into a key on the attained-service clock (key = vnow + remaining/w,
-// using the remaining the fallback path just integrated), and the calendar
-// queue is bulk-loaded from those keys.
+// using the remaining the fallback path just integrated), and the key heap is
+// bulk-loaded from those keys.
 func (st *Stepper) enterVirtual() {
 	r := st.r
 	st.stats.Transitions++
@@ -1418,7 +1420,7 @@ func (st *Stepper) enterVirtual() {
 		lt.key = st.vnow + lt.remaining/lt.w
 	}
 	if st.core == CoreAuto {
-		r.cal.rebuildCalendar(r.live, st.vnow)
+		r.vq.rebuild(r.live)
 	}
 }
 
@@ -1434,9 +1436,9 @@ func (st *Stepper) leaveVirtual() {
 		lt := &r.live[i]
 		rem := lt.w * (lt.key - st.vnow)
 		lt.remaining = rem
-		lt.processed = lt.arr.Task.Volume - rem
+		lt.processed = lt.volume - rem
 	}
-	r.cal.valid = false
+	r.vq.valid = false
 	r.qth.valid = false
 }
 
@@ -1469,8 +1471,8 @@ func (st *Stepper) fallbackDt(alloc []float64) float64 {
 		}
 	}
 	if active > n/4 {
-		// quot caches are left stale: the invalidation forces the sparse
-		// regime to reseed with a full rebuild, which rewrites every one.
+		// The invalidation forces the sparse regime to reseed with a full
+		// rebuild, which rewrites every quotient.
 		r.qth.valid = false
 		return dtScan
 	}
@@ -1481,7 +1483,6 @@ func (st *Stepper) fallbackDt(alloc []float64) float64 {
 			if r.rates[k] > 0 {
 				q = r.live[k].remaining / r.rates[k]
 			}
-			r.live[k].quot = q
 			r.keyScratch[k] = q
 		}
 		r.qth.rebuild(r.keyScratch[:n])
@@ -1491,8 +1492,9 @@ func (st *Stepper) fallbackDt(alloc []float64) float64 {
 			if r.rates[k] > 0 {
 				q = r.live[k].remaining / r.rates[k]
 			}
-			if q != r.live[k].quot {
-				r.live[k].quot = q
+			// Only slots whose quotient changed (or that joined since the
+			// last event) pay a sift.
+			if !r.qth.holds(k, q) {
 				r.qth.update(k, q)
 			}
 		}

@@ -5,34 +5,30 @@ import "math"
 // This file is the O(log n) event core of the stepper: the indexed structures
 // that replace the kernel's per-event linear passes over the alive set.
 //
-// Two structures cover the two completion-search regimes of the loop:
+// Two indexed min-heaps cover the two completion-search regimes of the loop:
 //
-//   - calendarQueue: a timer-wheel calendar queue over the virtual-service
-//     keys of equal-share segments (see the virtual-clock notes in engine.go).
-//     Keys are only ever popped near the monotonically increasing virtual
-//     clock, which is exactly the access pattern calendar queues are O(1)
-//     amortized for: a cursor walks a ring of narrow buckets, and keys beyond
-//     the bucket window wait in an overflow list that is re-bucketed when the
-//     cursor wraps.
-//   - idxHeap: an indexed binary min-heap keyed by slot, used for the
+//   - keyHeap: the virtual-clock event queue over the virtual-service keys of
+//     equal-share segments (see the virtual-clock notes in engine.go), ordered
+//     by (key, task id) and reading both straight from the live slots.
+//   - idxHeap: a heap over float64 keys it stores itself, used for the
 //     delta-ratio eligibility bound of the virtual mode and for the
 //     completion-quotient index of the fallback path.
 //
-// Both structures obey the determinism rule of the whole engine: every value
-// they surface (a minimum key, a pop order) is a pure function of the
-// (key, task-id) multiset they hold, never of their internal layout. The
-// calendar scans the leading bucket for the (key, id)-minimum instead of
-// trusting insertion order, so a queue rebuilt from a snapshot pops the same
+// Both are addressed by live-slot number, so an update or removal by slot is
+// O(log n) whatever the key stream, and both obey the determinism rule of the
+// whole engine: every value they surface (a minimum key, a pop order) is a
+// pure function of the (key, task-id) multiset they hold, never of their
+// internal layout. A queue rebuilt from a snapshot therefore pops the same
 // sequence as the queue that grew event by event — the property
 // FuzzStepperSnapshotRoundTrip and FuzzEventQueueEquivalence both lean on.
 //
-// All storage is Runner scratch: inserts append into kept-capacity slices, so
+// All storage is Runner scratch: pushes append into kept-capacity slices, so
 // a warmed engine runs both structures without heap allocation, and Restore
 // rebuilds them from the live slots without allocating either.
 
 // QueueStats is the per-run counter pair recording which event core ran each
 // policy event: the virtual-clock equal-share path (no policy invocation, the
-// calendar queue or its naive reference) or the fallback path (policy invoked,
+// key heap or its naive reference) or the fallback path (policy invoked,
 // the quotient heap or the naive min-scan). Their sum is Result.Events.
 type QueueStats struct {
 	// VirtualEvents counts events decided on the virtual-service clock.
@@ -52,11 +48,11 @@ type QueueStats struct {
 type EventCore int
 
 const (
-	// CoreAuto is the default: calendar queue on virtual segments, indexed
-	// quotient heap on fallback segments.
+	// CoreAuto is the default: (key, id) slot heap on virtual segments,
+	// indexed quotient heap on fallback segments.
 	CoreAuto EventCore = iota
 	// CoreNaive is the reference implementation: the same virtual-clock
-	// semantics computed by linear scans (the pre-calendar min-scan shape).
+	// semantics computed by linear scans.
 	CoreNaive
 )
 
@@ -179,6 +175,11 @@ func (h *idxHeap) renumber(oldSlot, newSlot int) {
 	h.heap[i] = int32(newSlot)
 }
 
+// holds reports whether the slot is queued under exactly this key.
+func (h *idxHeap) holds(slot int, key float64) bool {
+	return slot < len(h.pos) && h.pos[slot] >= 0 && h.key[slot] == key
+}
+
 // min returns the least key, or +Inf when the heap is empty.
 func (h *idxHeap) min() float64 {
 	if len(h.heap) == 0 {
@@ -245,212 +246,120 @@ func (h *idxHeap) siftDown(i int) {
 	h.pos[node] = int32(i)
 }
 
-// calendarQueue is the timer-wheel index over virtual-service completion
-// keys. Buckets cover the half-open window [base, base+width·len(buckets));
-// keys past the window wait in the overflow list and are distributed when the
-// cursor wraps. base and limit are FIXED for a window's lifetime (only
-// rewindow/reset move them) — that fixes the order invariant the whole
-// structure rests on: every bucketed key < limit ≤ every overflow key, so
-// the global minimum always lives in the first non-empty bucket. Inserts
-// whose key falls before the cursor's bucket are clamped into the cursor
-// bucket — peekMin scans a whole bucket for the (key, id) minimum, so a
-// clamped early key is still found first.
+// keyHeap is the virtual-clock event queue: an indexed binary min-heap over
+// live-slot numbers, ordered by (live[s].key, live[s].id). It copies neither
+// key nor id — both are read straight from the live slots, which is why every
+// mutating method takes them — so it costs 8 bytes per slot (node order plus
+// the slot → node index). Keys are static while queued (see the virtual-clock
+// notes in engine.go), and renumber keeps the index coherent across the
+// kernel's swap-delete retirements.
 //
-// Geometry (width, bucket count, window base) adapts to occupancy at rebuild
-// and wrap points, and deliberately has no effect on anything observable:
-// extraction order is value-ordered, so a queue with different geometry —
-// say, one rebuilt from a Snapshot — pops the identical sequence.
-type calendarQueue struct {
-	valid   bool
-	base    float64 // virtual time at bucket 0's left edge (fixed per window)
-	limit   float64 // base + width·len(buckets): the overflow threshold
-	width   float64
-	cur     int
-	n       int
-	buckets [][]int32
-	over    []int32
-	// slot → location: bucketOf is the bucket index or -1 for the overflow
-	// list; posOf is the position inside that bucket/list.
-	bucketOf []int32
-	posOf    []int32
+// Task ids are unique, so (key, id) is a strict total order over the queued
+// slots and the head is the unique least pair: what the heap surfaces is a
+// pure function of its contents, whatever the push/remove history or the
+// rebuild that produced its layout.
+type keyHeap struct {
+	valid bool
+	heap  []int32 // node order: heap[0] holds the (key, id)-least slot
+	pos   []int32 // slot → node index
 }
 
-// calMinBuckets keeps the wheel from degenerating at tiny occupancies.
-const calMinBuckets = 16
+// keyLess orders two slots by (key, id).
+func keyLess(live []liveTask, a, b int32) bool {
+	ka, kb := live[a].key, live[b].key
+	return ka < kb || (ka == kb && live[a].id < live[b].id)
+}
 
-// reset empties the queue and re-anchors the window at vnow for about n keys
-// spanning roughly span units of virtual service.
-func (q *calendarQueue) reset(vnow, span float64, n, slots int) {
-	nb := calMinBuckets
-	for nb < n {
-		nb *= 2
+// push queues a slot under its current key.
+func (q *keyHeap) push(live []liveTask, slot int) {
+	for len(q.pos) <= slot {
+		q.pos = append(q.pos, 0)
 	}
-	if cap(q.buckets) < nb {
-		q.buckets = append(q.buckets[:cap(q.buckets)], make([][]int32, nb-cap(q.buckets))...)
+	q.heap = append(q.heap, int32(slot))
+	q.siftUp(live, len(q.heap)-1)
+}
+
+// peekMin returns the slot holding the (key, id)-least entry, or ok=false on
+// an empty queue.
+func (q *keyHeap) peekMin() (slot int, ok bool) {
+	if len(q.heap) == 0 {
+		return 0, false
 	}
-	q.buckets = q.buckets[:nb]
-	for i := range q.buckets {
-		q.buckets[i] = q.buckets[i][:0]
+	return int(q.heap[0]), true
+}
+
+// removeSlot deletes a queued slot. live must still hold every queued key.
+func (q *keyHeap) removeSlot(live []liveTask, slot int) {
+	i := int(q.pos[slot])
+	last := len(q.heap) - 1
+	moved := q.heap[last]
+	q.heap = q.heap[:last]
+	if i == last {
+		return
 	}
-	q.over = q.over[:0]
-	q.bucketOf = growInt32(q.bucketOf, slots)
-	q.posOf = growInt32(q.posOf, slots)
-	q.base = vnow
-	q.cur = 0
-	q.n = 0
-	// Aim for ~1 key per bucket across the observed span; a degenerate span
-	// (all keys equal, or a single key) gets a unit-ish width so every key
-	// lands in one bucket and the scan degenerates gracefully.
-	w := span / float64(nb)
-	if !(w > 0) || math.IsInf(w, 0) || math.IsNaN(w) {
-		w = math.Max(1e-9, 1e-9*math.Abs(vnow))
-		if w == 0 {
-			w = 1e-9
-		}
+	q.heap[i] = moved
+	q.pos[moved] = int32(i)
+	q.siftDown(live, i)
+	q.siftUp(live, int(q.pos[moved]))
+}
+
+// renumber moves slot old's node to slot new (the swap-delete fixup: the
+// kernel just moved live[old] into live[new], key and id included).
+func (q *keyHeap) renumber(oldSlot, newSlot int) {
+	i := q.pos[oldSlot]
+	q.pos[newSlot] = i
+	q.heap[i] = int32(newSlot)
+}
+
+// rebuild bulk-loads the queue from every live slot in O(n) — the
+// transition and restore path.
+func (q *keyHeap) rebuild(live []liveTask) {
+	n := len(live)
+	q.pos = growInt32(q.pos, n)
+	q.heap = q.heap[:0]
+	for i := 0; i < n; i++ {
+		q.heap = append(q.heap, int32(i))
+		q.pos[i] = int32(i)
 	}
-	q.width = w
-	q.limit = q.base + w*float64(nb)
+	for i := n/2 - 1; i >= 0; i-- {
+		q.siftDown(live, i)
+	}
 	q.valid = true
 }
 
-// ensureSlots grows the slot-location index to address slot.
-func (q *calendarQueue) ensureSlots(slot int) {
-	for len(q.bucketOf) <= slot {
-		q.bucketOf = append(q.bucketOf, 0)
-		q.posOf = append(q.posOf, 0)
+func (q *keyHeap) siftUp(live []liveTask, i int) {
+	node := q.heap[i]
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !keyLess(live, node, q.heap[parent]) {
+			break
+		}
+		q.heap[i] = q.heap[parent]
+		q.pos[q.heap[i]] = int32(i)
+		i = parent
 	}
+	q.heap[i] = node
+	q.pos[node] = int32(i)
 }
 
-// insert files a slot under its key.
-func (q *calendarQueue) insert(slot int, key float64) {
-	q.ensureSlots(slot)
-	if key >= q.limit {
-		q.bucketOf[slot] = -1
-		q.posOf[slot] = int32(len(q.over))
-		q.over = append(q.over, int32(slot))
-		q.n++
-		return
-	}
-	b := 0
-	if key > q.base {
-		b = int((key - q.base) / q.width)
-	}
-	if b < q.cur {
-		b = q.cur // clamp: never file behind the cursor
-	}
-	if b >= len(q.buckets) {
-		b = len(q.buckets) - 1
-	}
-	q.bucketOf[slot] = int32(b)
-	q.posOf[slot] = int32(len(q.buckets[b]))
-	q.buckets[b] = append(q.buckets[b], int32(slot))
-	q.n++
-}
-
-// peekMin returns the slot holding the (key, id)-least entry. The live slice
-// supplies both the keys and the id tie-break, so the answer is a pure
-// function of queue contents. Returns ok=false on an empty queue.
-func (q *calendarQueue) peekMin(live []liveTask) (slot int, ok bool) {
-	if q.n == 0 {
-		return 0, false
-	}
+func (q *keyHeap) siftDown(live []liveTask, i int) {
+	n := len(q.heap)
+	node := q.heap[i]
 	for {
-		for q.cur < len(q.buckets) {
-			b := q.buckets[q.cur]
-			if len(b) > 0 {
-				best := int(b[0])
-				for _, s32 := range b[1:] {
-					s := int(s32)
-					if live[s].key < live[best].key ||
-						(live[s].key == live[best].key && live[s].id < live[best].id) {
-						best = s
-					}
-				}
-				return best, true
-			}
-			q.cur++
+		c := 2*i + 1
+		if c >= n {
+			break
 		}
-		// Window exhausted: re-anchor it over the overflow keys. Width and
-		// bucket count re-adapt to what is left (amortized O(1) per key).
-		q.rewindow(live)
-	}
-}
-
-// rewindow redistributes the overflow list into a fresh bucket window. The
-// new window spans [lo, lo+span) with span covering the largest pending key,
-// so the redistribution itself never re-overflows.
-func (q *calendarQueue) rewindow(live []liveTask) {
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for _, s := range q.over {
-		k := live[s].key
-		if k < lo {
-			lo = k
+		if r := c + 1; r < n && keyLess(live, q.heap[r], q.heap[c]) {
+			c = r
 		}
-		if k > hi {
-			hi = k
+		if !keyLess(live, q.heap[c], node) {
+			break
 		}
+		q.heap[i] = q.heap[c]
+		q.pos[q.heap[i]] = int32(i)
+		i = c
 	}
-	pend := q.over
-	// Swap the overflow buffer out before reset so its storage survives the
-	// redistribution loop (reset clears q.over; appends during the loop, if
-	// any, land past pend's live entries in the same backing array).
-	q.over = q.over[len(q.over):]
-	q.reset(lo, (hi-lo)+q.width, len(pend), len(q.bucketOf))
-	for _, s := range pend {
-		q.insert(int(s), live[s].key)
-	}
-	// Reclaim the swapped-out buffer for future overflow appends.
-	if len(q.over) == 0 && cap(pend) > cap(q.over) {
-		q.over = pend[:0]
-	}
-}
-
-// removeSlot deletes a slot from wherever it is filed.
-func (q *calendarQueue) removeSlot(slot int) {
-	b := q.bucketOf[slot]
-	p := int(q.posOf[slot])
-	var list *[]int32
-	if b < 0 {
-		list = &q.over
-	} else {
-		list = &q.buckets[b]
-	}
-	last := len(*list) - 1
-	if p != last {
-		moved := (*list)[last]
-		(*list)[p] = moved
-		q.posOf[moved] = int32(p)
-	}
-	*list = (*list)[:last]
-	q.n--
-}
-
-// renumber moves slot old's filing to slot new (the swap-delete fixup).
-func (q *calendarQueue) renumber(oldSlot, newSlot int) {
-	q.ensureSlots(newSlot)
-	b := q.bucketOf[oldSlot]
-	p := q.posOf[oldSlot]
-	q.bucketOf[newSlot] = b
-	q.posOf[newSlot] = p
-	if b < 0 {
-		q.over[p] = int32(newSlot)
-	} else {
-		q.buckets[b][p] = int32(newSlot)
-	}
-}
-
-// rebuildCalendar bulk-loads the queue from the live slots — the transition
-// and restore path. Geometry is chosen from the key span, but (see the type
-// comment) geometry never affects extraction order.
-func (q *calendarQueue) rebuildCalendar(live []liveTask, vnow float64) {
-	hi := vnow
-	for i := range live {
-		if k := live[i].key; k > hi {
-			hi = k
-		}
-	}
-	q.reset(vnow, (hi-vnow)+1e-9, len(live), len(live))
-	for i := range live {
-		q.insert(i, live[i].key)
-	}
+	q.heap[i] = node
+	q.pos[node] = int32(i)
 }

@@ -65,10 +65,10 @@ type StepperSnapshot struct {
 	probeFinal      bool
 	done            bool
 
-	// Event-core scalars. The index structures themselves (calendar queue,
+	// Event-core scalars. The index structures themselves (key heap,
 	// eligibility and completion heaps) are never captured: they are pure
 	// functions of the live slots plus these scalars, and Restore just marks
-	// them for rebuild — extraction order is value-ordered, so a rebuilt
+	// them for rebuild — extraction order is (key, id)-ordered, so a rebuilt
 	// queue is observationally identical to the one that grew incrementally.
 	virtual bool
 	vnow    float64
@@ -237,7 +237,7 @@ func (st *Stepper) Restore(snap *StepperSnapshot) error {
 	r.rates = append(r.rates[:0], snap.rates...)
 	// The index structures are rebuilt from the restored live slots on first
 	// use (alloc-free once warmed).
-	r.cal.valid = false
+	r.vq.valid = false
 	r.drh.valid = false
 	r.qth.valid = false
 

@@ -307,8 +307,8 @@ func Scenarios() []Scenario {
 			// run. Per-event cost here is all alive-set data structure — the
 			// regime the O(log n) event core exists for. The large-delta class
 			// (δ > P/2, unit weights) keeps every event on the certified
-			// equal-share path, so this pins the virtual-clock/calendar-queue
-			// core specifically; weight-greedy over the same stream (see
+			// equal-share path, so this pins the virtual-clock key-heap core
+			// specifically; weight-greedy over the same stream (see
 			// EXPERIMENTS.md) pins the indexed-heap fallback.
 			Name: "online-hiback", Policy: "wdeq", Class: "large-delta",
 			Process: "poisson", Rate: 200, Tasks: 16384, Shards: 1, P: 8, Seed: 413,

@@ -3,6 +3,7 @@ package workload
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"github.com/malleable-sched/malleable/internal/schedule"
 )
@@ -17,7 +18,9 @@ import (
 // ten-task one.
 //
 // A Stream is single-use and not safe for concurrent use; create one per run
-// (the sharded driver creates one per shard).
+// (the sharded driver creates one per shard). Its two RNG states, nearly all
+// the memory it allocates, are recycled for later streams once the last
+// arrival is drawn.
 type Stream struct {
 	cfg      ArrivalConfig
 	tenants  []TenantSpec
@@ -61,7 +64,7 @@ func NewStream(cfg ArrivalConfig, n int, seed int64) (*Stream, error) {
 	// Two decorrelated streams off the same seed: one for task shapes (via
 	// the existing instance generator), one for the arrival process and the
 	// tenant draw. Everything is a pure function of (cfg, n, seed).
-	shapes, err := NewGenerator(cfg.Class, 1, cfg.P, seed)
+	shapes, err := newGenerator(cfg.Class, 1, cfg.P, pooledRand(seed))
 	if err != nil {
 		return nil, err
 	}
@@ -70,9 +73,21 @@ func NewStream(cfg ArrivalConfig, n int, seed int64) (*Stream, error) {
 		tenants:  tenants,
 		shareSum: shareSum,
 		shapes:   shapes,
-		rng:      rand.New(rand.NewSource(seed ^ 0x5deece66d)),
+		rng:      pooledRand(seed ^ 0x5deece66d),
 		n:        n,
 	}, nil
+}
+
+// randPool holds the RNG states of exhausted streams. A source is about
+// 4.9 KB, and re-seeding one yields exactly the sequence of a fresh source,
+// so a closed loop of runs over fresh streams allocates almost nothing.
+var randPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
+
+// pooledRand returns an RNG seeded with seed, recycled when one is free.
+func pooledRand(seed int64) *rand.Rand {
+	r := randPool.Get().(*rand.Rand)
+	r.Seed(seed)
+	return r
 }
 
 // Remaining returns how many arrivals the stream will still emit.
@@ -121,5 +136,11 @@ func (s *Stream) Next() (schedule.Arrival, bool, error) {
 	}
 	s.burstLeft--
 	s.emitted++
+	if s.emitted == s.n {
+		// Nothing draws again: hand the RNG states back.
+		randPool.Put(s.rng)
+		randPool.Put(s.shapes.rng)
+		s.rng, s.shapes = nil, nil
+	}
 	return schedule.Arrival{Task: task, Release: s.now, Tenant: tenant}, true, nil
 }

@@ -84,13 +84,18 @@ type Generator struct {
 
 // NewGenerator creates a generator seeded deterministically.
 func NewGenerator(class Class, n int, p float64, seed int64) (*Generator, error) {
+	return newGenerator(class, n, p, rand.New(rand.NewSource(seed)))
+}
+
+// newGenerator validates the parameters and wraps an already seeded rng.
+func newGenerator(class Class, n int, p float64, rng *rand.Rand) (*Generator, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("workload: need at least one task, got %d", n)
 	}
 	if class != UnitClass && !(p > 0) {
 		return nil, fmt.Errorf("workload: need a positive processor count, got %g", p)
 	}
-	return &Generator{Class: class, N: n, P: p, Epsilon: 0.01, rng: rand.New(rand.NewSource(seed))}, nil
+	return &Generator{Class: class, N: n, P: p, Epsilon: 0.01, rng: rng}, nil
 }
 
 // NextTask draws a single task of the generator's class. It is the
