@@ -53,17 +53,12 @@ type loadtestSpec struct {
 	// per-shard streams. Cluster mode always runs the streaming path.
 	Router string `json:"router,omitempty"`
 	// Workers >= 2 advances the cluster's shards concurrently on that many
-	// pool workers between routing decisions. The report is byte-identical
-	// at any worker count — the knob trades goroutines for wall-clock time
-	// only. Requires Router; 0 or 1 keeps the sequential coordinator.
+	// pool workers through each dispatch window. Workers only parallelise
+	// batched dispatch — a state-free router (round-robin, hash-tenant) or
+	// a Stale run; every other cluster run stays on the sequential
+	// coordinator. The report is byte-identical at any worker count — the
+	// knob trades goroutines for wall-clock time only. Requires Router.
 	Workers int `json:"workers,omitempty"`
-	// Speculate runs the parallel coordinator optimistically: shards advance
-	// past upcoming dispatch times on engine checkpoints and a mispredicted
-	// shard is rolled back instead of the whole fleet barriering per
-	// dispatch. The report stays byte-identical; the misprediction cost
-	// (rollbacks, discarded events) lands in the stderr perf footer.
-	// Requires Router and Workers >= 2 to have any effect.
-	Speculate bool `json:"speculate,omitempty"`
 	// Stale runs the cluster coordinator in stale-batched mode: the router
 	// reads fleet views published once per dispatch window instead of exact
 	// per-dispatch snapshots, removing the per-dispatch barrier entirely.
@@ -185,9 +180,6 @@ func runLoadtestSpecWrapped(spec loadtestSpec, wrap func(shard int, s engine.Arr
 	if spec.Workers != 0 && spec.Router == "" {
 		return nil, nil, fmt.Errorf("loadtest: -workers parallelizes the cluster coordinator and needs -router")
 	}
-	if spec.Speculate && spec.Router == "" {
-		return nil, nil, fmt.Errorf("loadtest: -speculate runs the cluster coordinator optimistically and needs -router (and -workers >= 2)")
-	}
 	if spec.Stale && spec.Router == "" {
 		return nil, nil, fmt.Errorf("loadtest: -stale stales the cluster router's fleet view and needs -router (least-backlog or po2)")
 	}
@@ -220,7 +212,6 @@ func runLoadtestSpecWrapped(spec loadtestSpec, wrap func(shard int, s engine.Arr
 			Policy:       policy,
 			Router:       router,
 			Workers:      spec.Workers,
-			Speculate:    spec.Speculate,
 			StaleRouting: spec.Stale,
 			Prefetch:     spec.Prefetch,
 			Opts:         opts,
@@ -326,9 +317,6 @@ func renderLoadResult(w io.Writer, spec loadtestSpec, res *engine.LoadResult, te
 		routed = fmt.Sprintf(" router=%s", spec.Router)
 		if spec.Workers > 0 {
 			routed += fmt.Sprintf(" workers=%d", spec.Workers)
-		}
-		if spec.Speculate {
-			routed += " speculate=true"
 		}
 		if spec.Stale {
 			// Stale routing IS part of the deterministic schedule (unlike
@@ -644,8 +632,6 @@ func runLoadtest(args []string) error {
 		}
 	}
 
-	rollbacks, wasted := 0, 0
-	batchLo, batchHi, batchLast := 0, 0, 0
 	staleViews, staleWindow, staleTasks := 0, 0, 0
 	err := memReport(perfW, *heapSample, func() (int, error) {
 		res, tenantSpecs, err := runLoadtestSpecWrapped(spec, wrap, obsv)
@@ -653,23 +639,13 @@ func runLoadtest(args []string) error {
 			return 0, err
 		}
 		renderLoadResult(os.Stdout, spec, res, tenantSpecs)
-		rollbacks, wasted = res.Rollbacks, res.WastedEvents
-		batchLo, batchHi, batchLast = res.SpecBatchMin, res.SpecBatchMax, res.SpecBatchLast
 		staleViews, staleWindow, staleTasks = res.StaleViews, res.StaleWindow, res.TotalTasks
 		return res.TotalTasks, nil
 	})
-	if err == nil && spec.Speculate {
-		// The speculation win/loss footer goes to stderr with the perf line:
-		// rollback counts and the adaptive window trajectory are cost
-		// figures, and stdout must stay byte-identical across coordinator
-		// modes.
-		fmt.Fprintf(perfW, "speculate: rollbacks=%d wasted-events=%d batch=%d..%d final=%d\n",
-			rollbacks, wasted, batchLo, batchHi, batchLast)
-	}
 	if err == nil && spec.Stale {
-		// Same split for the stale footer: the view cadence is a perf figure
-		// (how much dispatch the fleet amortized per published view), not
-		// part of the deterministic report.
+		// The stale footer goes to stderr with the perf line: the view
+		// cadence is a perf figure (how much dispatch the fleet amortized
+		// per published view), not part of the deterministic report.
 		perView := 0.0
 		if staleViews > 0 {
 			perView = float64(staleTasks) / float64(staleViews)

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -533,55 +532,6 @@ func TestServeLoadtestCluster(t *testing.T) {
 	}
 }
 
-// A speculative cluster spec reports its misprediction cost in the response
-// and mirrors it into the server's rollback counter; the scheduling results
-// themselves are byte-identical to the conservative run's.
-func TestServeLoadtestSpeculate(t *testing.T) {
-	srv := httptest.NewServer(newServeMux(false))
-	defer srv.Close()
-	spec := testSpec()
-	spec.Router = "least-backlog"
-	spec.Workers = 2
-	spec.Speculate = true
-	body, _ := json.Marshal(spec)
-	resp, err := http.Post(srv.URL+"/v1/loadtest", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("speculative loadtest status = %d", resp.StatusCode)
-	}
-	var out struct {
-		Speculate    *bool `json:"speculate"`
-		Rollbacks    *int  `json:"rollbacks"`
-		WastedEvents *int  `json:"wastedEvents"`
-		TotalTasks   int   `json:"totalTasks"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatal(err)
-	}
-	if out.Speculate == nil || !*out.Speculate || out.Rollbacks == nil || out.WastedEvents == nil || out.TotalTasks != 400 {
-		t.Fatalf("speculative response = %+v", out)
-	}
-	if *out.Rollbacks < 0 || *out.WastedEvents < 0 {
-		t.Errorf("negative misprediction cost: rollbacks=%d wasted=%d", *out.Rollbacks, *out.WastedEvents)
-	}
-
-	mresp, err := http.Get(srv.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mresp.Body.Close()
-	text, err := io.ReadAll(mresp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(text), fmt.Sprintf("mwct_cluster_rollbacks_total %d", *out.Rollbacks)) {
-		t.Errorf("rollback counter not mirrored into /metrics:\n%s", text)
-	}
-}
-
 // Cluster mode dispatches one global stream, so fewer tasks than shards is
 // legal (unused shards drain empty); the per-shard minimum only applies to
 // the independent-streams split.
@@ -629,24 +579,6 @@ func TestLoadtestReportWorkersByteIdentical(t *testing.T) {
 			t.Errorf("workers=%d report diverges from sequential:\n%s\nvs\n%s", workers, got, sequential)
 		}
 	}
-	// The speculative coordinator honors the same stdout contract: only the
-	// header names the mode, the body is byte-identical.
-	spec.Speculate = true
-	for _, workers := range []int{2, 4} {
-		if got := body(workers); got != sequential {
-			t.Errorf("speculate workers=%d report diverges from sequential:\n%s\nvs\n%s", workers, got, sequential)
-		}
-	}
-	spec.Workers = 4
-	var buf bytes.Buffer
-	if err := loadtestReport(&buf, spec); err != nil {
-		t.Fatal(err)
-	}
-	header, _, _ := strings.Cut(buf.String(), "\n")
-	if !strings.Contains(header, "speculate=true") {
-		t.Errorf("speculative header does not name the mode: %q", header)
-	}
-	spec.Speculate = false
 	if !strings.Contains(sequential, "aggregate: tasks=400") {
 		t.Errorf("report body looks wrong:\n%s", sequential)
 	}
@@ -657,11 +589,6 @@ func TestLoadtestWorkersNeedRouter(t *testing.T) {
 	spec.Workers = 4
 	if _, _, err := runLoadtestSpec(spec); err == nil || !strings.Contains(err.Error(), "-router") {
 		t.Errorf("workers without router: err = %v, want a -router hint", err)
-	}
-	spec = testSpec()
-	spec.Speculate = true
-	if _, _, err := runLoadtestSpec(spec); err == nil || !strings.Contains(err.Error(), "-router") {
-		t.Errorf("speculate without router: err = %v, want a -router hint", err)
 	}
 }
 

@@ -39,8 +39,8 @@ func newServeMux(enablePprof bool) *http.ServeMux {
 
 // newServeMuxWorkers is newServeMux with a server-side default worker count
 // for cluster load tests: a routed spec that leaves "workers" unset runs the
-// coordinator with defaultWorkers pool workers. Because parallel and
-// sequential coordinators produce byte-identical results, the default changes
+// coordinator with defaultWorkers pool workers. Workers only parallelise
+// batched dispatch and never change a result byte, so the default changes
 // how fast the server answers, never what it answers — which is why it is an
 // operator flag and not part of the request schema's meaning.
 func newServeMuxWorkers(enablePprof bool, defaultWorkers int) *http.ServeMux {
@@ -87,9 +87,6 @@ type serveMetrics struct {
 	tasksTotal   *obs.Counter
 	weightedFlow *obs.Counter
 	meanFlow     *obs.Gauge
-	rollbacks    *obs.Counter
-	wastedEvents *obs.Counter
-	specBatch    *obs.Gauge
 	staleViews   *obs.Counter
 	staleWindow  *obs.Gauge
 }
@@ -104,9 +101,6 @@ func newServeMetrics() *serveMetrics {
 		tasksTotal:   reg.Counter("mwct_loadtest_tasks_total", "Tasks scheduled across every served load test."),
 		weightedFlow: reg.Counter("mwct_loadtest_weighted_flow_total", "Cumulative weighted flow over every served load test."),
 		meanFlow:     reg.Gauge("mwct_loadtest_mean_flow", "Mean flow time over every served load test."),
-		rollbacks:    reg.Counter("mwct_cluster_rollbacks_total", "Shard rollbacks performed by speculative cluster load tests."),
-		wastedEvents: reg.Counter("mwct_cluster_wasted_events_total", "Policy invocations discarded by speculative rollbacks."),
-		specBatch:    reg.Gauge("mwct_cluster_spec_batch", "Speculation window depth the adaptive controller settled on in the last speculative run."),
 		staleViews:   reg.Counter("mwct_cluster_stale_views_total", "Window-boundary fleet views published by stale-batched cluster load tests."),
 		staleWindow:  reg.Gauge("mwct_cluster_stale_window", "Dispatch window size of the last stale-batched run."),
 	}
@@ -122,14 +116,8 @@ func (m *serveMetrics) record(res *engine.LoadResult) {
 	m.tasksTotal.Set(float64(m.agg.Tasks()))
 	m.weightedFlow.Set(m.agg.WeightedFlow())
 	m.meanFlow.Set(m.agg.MeanFlow())
-	// Zero outside speculative cluster runs, so conservative load tests
-	// leave the misprediction counters untouched.
-	m.rollbacks.Add(float64(res.Rollbacks))
-	m.wastedEvents.Add(float64(res.WastedEvents))
-	if res.SpecBatchLast > 0 {
-		m.specBatch.Set(float64(res.SpecBatchLast))
-	}
-	// Likewise zero outside stale-batched runs.
+	// Zero outside stale-batched runs, so exact-view load tests leave the
+	// view counters untouched.
 	m.staleViews.Add(float64(res.StaleViews))
 	if res.StaleWindow > 0 {
 		m.staleWindow.Set(float64(res.StaleWindow))
@@ -302,12 +290,6 @@ func handleLoadtest(w http.ResponseWriter, r *http.Request, metrics *serveMetric
 		// Cluster runs name their router so a client can tell a routed
 		// fleet from independent per-shard streams.
 		out["router"] = spec.Router
-		if spec.Speculate {
-			// Speculation changes cost, never results; report that cost.
-			out["speculate"] = true
-			out["rollbacks"] = res.Rollbacks
-			out["wastedEvents"] = res.WastedEvents
-		}
 		if spec.Stale {
 			// Stale routing changes the schedule AND amortizes dispatch;
 			// report both the mode and its view cadence.
@@ -329,7 +311,7 @@ func runServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	addr := fs.String("addr", ":8080", "listen address")
 	enablePprof := fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
-	workers := fs.Int("workers", 0, "default coordinator worker count for routed load tests whose spec leaves \"workers\" unset (results are byte-identical at any count; this only changes response latency)")
+	workers := fs.Int("workers", 0, "default coordinator worker count for routed load tests whose spec leaves \"workers\" unset; workers only parallelise batched dispatch (a state-free router, or a stale spec), and results are byte-identical at any count, so this only changes response latency")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

@@ -40,14 +40,11 @@
 //     concurrent shards; a ClusterRouter (RouterByName: round-robin,
 //     hash-tenant, least-backlog, po2) dispatches ONE global stream across a
 //     routed fleet on a single deterministic virtual timeline, where
-//     RunSpec.Workers >= 2 advances shards concurrently between routing
-//     decisions without changing a single output byte — same dispatch
-//     sequence, same sink order, same merged result at any worker count —
-//     and RunSpec.Speculate additionally runs the coordinator
-//     optimistically on stepper checkpoint/rollback (speculate past
-//     pending dispatches, roll back only the mispredicted shard), still
-//     byte-identical, with misprediction totals reported out of band.
-//     RunSpec.StaleRouting trades exactness for pipelining instead: a
+//     RunSpec.Workers >= 2 advances shards concurrently through batched
+//     dispatch windows (state-free routers, or StaleRouting) without
+//     changing a single output byte — same dispatch sequence, same sink
+//     order, same merged result at any worker count.
+//     RunSpec.StaleRouting trades exactness for pipelining: a
 //     window-stale router (least-backlog, po2) reads fleet views published
 //     once per 512-dispatch window, which removes the per-dispatch barrier
 //     entirely — a different but fully deterministic schedule, byte-identical
@@ -93,8 +90,8 @@
 //
 // The OnlineOptions fields flatten into the spec (Model, TraceDecisions,
 // MaxEvents, Probe, ProbeEveryEvents, ProbeInterval). Cluster knobs added
-// after the migration (RunSpec.Speculate, RunSpec.StaleRouting,
-// RunSpec.Prefetch) have no legacy spelling: they exist only on the spec,
+// after the migration (RunSpec.StaleRouting, RunSpec.Prefetch) have no
+// legacy spelling: they exist only on the spec,
 // and a spec that sets them without a Router is rejected rather than
 // silently ignored. Two intentional
 // differences: Run always returns the merged *RunResult (single-engine runs

@@ -73,9 +73,10 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		// Workers > 1 advances the shards on a worker pool between routing
-		// decisions; the report is byte-identical to a sequential run — the
-		// knob only changes wall-clock time.
+		// Workers > 1 advances the shards on a worker pool through batched
+		// dispatch windows (the state-free routers here); the report is
+		// byte-identical to a sequential run — the knob only changes
+		// wall-clock time.
 		res, err := malleable.Run(malleable.RunSpec{
 			P:       perShard,
 			Policy:  policy,

@@ -14,16 +14,25 @@
 // cluster run byte-deterministic — same stream, same router, same seed,
 // same report, at any GOMAXPROCS.
 //
-// Determinism does not require a single goroutine, only a single ORDER.
-// Routing is the sole cross-shard interaction, so between two routing
-// decisions every shard's events are independent of every other shard's:
-// the coordinator may advance shards concurrently through the lookahead
-// window bounded by the next dispatch time (conservative parallel
-// discrete-event simulation) and synchronize only where the router needs an
-// exact fleet snapshot. Config.Workers selects that mode; the results —
-// dispatch sequence, merged LoadResult, shared-sink order, fleet-probe
-// observations — are bit-identical to the sequential coordinator's at any
-// worker count, which the test suite asserts.
+// Two dispatch contracts run on that timeline (see the DESIGN.md section
+// "Dispatch contracts"):
+//
+//   - exact (runSequential): the router sees every shard's exact state at
+//     each arrival's release. This is the default, and every configuration
+//     that does not ask for the window contract runs it, whatever Workers
+//     says.
+//   - window (runBatched): the coordinator pre-routes up to batchSize
+//     arrivals against a view published once per window and then advances
+//     every shard through the window privately — on a worker pool when
+//     Workers >= 2, serially otherwise. State-free routers never read the
+//     view, so their results stay identical to the exact contract's;
+//     window-stale routers (Config.StaleRouting) read it and get a
+//     different, but equally deterministic, schedule.
+//
+// Either way the output — dispatch sequence, merged LoadResult, shared-sink
+// order, fleet-probe observations — is a pure function of the stream and
+// the configuration, never of the worker count, which the test suite
+// asserts.
 package cluster
 
 import (
@@ -34,11 +43,12 @@ import (
 	"github.com/malleable-sched/malleable/internal/workload"
 )
 
-// batchSize bounds how many arrivals a parallel coordinator pre-routes
-// between barriers when the router never reads fleet state (StateFreeRouter):
-// larger batches amortize the barrier, while the bound keeps the coordinator's
-// batch scratch O(1) in the stream length. The value is fixed — it must not
-// influence results (and tests pin that it does not), only wall-clock time.
+// batchSize bounds how many arrivals the window coordinator pre-routes
+// between barriers: larger batches amortize the barrier, while the bound
+// keeps the coordinator's batch scratch O(1) in the stream length. The value
+// is fixed — for state-free routers it must not influence results (and
+// tests pin that it does not), and for window-stale routers it is part of
+// the schedule's definition (the view is refreshed once per window).
 const batchSize = 512
 
 // Config parameterizes a cluster run.
@@ -59,48 +69,33 @@ type Config struct {
 	// applied uniformly to every shard. A non-nil Opts.Probe observes every
 	// shard's engine-level rest states interleaved on the global timeline;
 	// that interleave is inherently sequential, so setting it forces the
-	// sequential coordinator regardless of Workers (the output stays
+	// exact coordinator regardless of Workers (the output stays
 	// byte-identical either way, which is the point).
 	Opts engine.Options
-	// Workers selects the coordinator's execution mode. 0 or 1 advances
-	// shards on the coordinator goroutine in global event order. Workers >= 2
-	// advances shards concurrently on that many pool workers between routing
-	// decisions — bounded by the next dispatch time, the conservative
-	// lookahead window — and is capped at Shards. Every observable output is
-	// byte-identical across all Workers settings; the knob trades goroutines
-	// for wall-clock time only.
+	// Workers sets how many pool workers advance shards through a dispatch
+	// window; it is capped at Shards. Workers only parallelise batched
+	// dispatch: the window coordinator of a state-free router (without a
+	// fleet Probe or Opts.Probe) or of a StaleRouting run. Every other run uses the exact
+	// coordinator on one goroutine. Every observable output is
+	// byte-identical across all Workers settings; the knob trades
+	// goroutines for wall-clock time only.
 	Workers int
-	// Speculate switches the parallel coordinator (Workers >= 2) from
-	// conservative to optimistic execution: shards advance past the next
-	// dispatch horizon on checkpoints instead of parking at the barrier, and
-	// only the shard the router actually feeds is rolled back to its last
-	// pre-release checkpoint (see runSpeculative). For state-reading routers
-	// — whose conservative mode pays a full-fleet barrier per arrival — this
-	// is the wall-clock lever; for state-free routers the batched mode is
-	// usually already barrier-cheap. Output stays byte-identical to the
-	// sequential coordinator, like every other mode; the misprediction cost
-	// is reported in LoadResult.Rollbacks/WastedEvents. Ignored when Workers
-	// < 2 (sequential execution is already exact), and a run with
-	// Opts.TraceDecisions falls back to the conservative modes (decision
-	// traces cannot be checkpointed).
-	Speculate bool
-	// StaleRouting opts a state-reading router into window-stale dispatch,
-	// the stale-batched mode (see stale.go and the DESIGN.md section of the
-	// same name): the router's fleet view is published once per dispatch
-	// window of up to batchSize arrivals — the state every shard reached at
-	// the last window boundary, evolved only by the coordinator's own
-	// in-window dispatch counts — instead of being re-synchronized per
-	// dispatch. The view is a pure function of the stream and the window
-	// size, never of worker interleaving, so output stays byte-identical at
-	// every Workers setting (including 0 and 1, which run the same windowed
-	// algorithm serially). It is NOT the exact-view schedule: routing
-	// decisions, and therefore results, differ deterministically from the
-	// sequential coordinator's. Requires a router declaring the
-	// WindowStaleRouter capability (least-backlog, po2); a state-free
-	// router ignores the flag (batched dispatch never reads the view), any
-	// other router is rejected. Takes precedence over Speculate and is
-	// incompatible with Opts.Probe (whose global event interleave needs the
-	// sequential coordinator).
+	// StaleRouting opts a state-reading router into the window contract
+	// (see the DESIGN.md section "Dispatch contracts"): the router's fleet
+	// view is published once per dispatch window of up to batchSize
+	// arrivals — the state every shard reached at the last window boundary,
+	// evolved only by the coordinator's own in-window dispatch counts —
+	// instead of being re-synchronized per dispatch. The view is a pure
+	// function of the stream and the window size, never of worker
+	// interleaving, so output stays byte-identical at every Workers setting
+	// (including 0 and 1, which run the same windowed algorithm serially).
+	// It is NOT the exact-view schedule: routing decisions, and therefore
+	// results, differ deterministically from the exact coordinator's.
+	// Requires a router declaring the WindowStaleRouter capability
+	// (least-backlog, po2); a state-free router ignores the flag (it never
+	// reads the view), any other router is rejected. Incompatible with
+	// Opts.Probe (whose global event interleave needs the exact
+	// coordinator).
 	StaleRouting bool
 	// Prefetch overlaps arrival generation or trace decoding with shard
 	// execution: a single producer goroutine fills fixed-size buffers — one
@@ -112,17 +107,18 @@ type Config struct {
 	Prefetch bool
 	// Sink, when non-nil, observes every completed task of the whole fleet
 	// in a deterministic global order: ascending completion time, ties by
-	// shard index, exactly the order the sequential coordinator emits. With
-	// Workers >= 2 completions are buffered per shard during a window and
-	// replayed into Sink in that same order at the next barrier.
+	// shard index, exactly the order the sequential coordinator emits. On
+	// the window coordinator completions are buffered per shard during a
+	// window and replayed into Sink in that same order at the next barrier.
 	Sink engine.MetricSink
 	// Probe, when non-nil, observes the fleet at dispatch time: it is handed
 	// the same exact per-shard snapshots the Router just saw (after the
 	// dispatch was counted), so probe output and routing decisions describe
 	// the same instant. A final observation fires after the fleet drains,
-	// with every shard's terminal counters. Fleet probing synchronizes the
-	// fleet at every dispatch, so with Workers >= 2 it keeps the per-dispatch
-	// barrier even under a StateFreeRouter. See Probe.
+	// with every shard's terminal counters. Fleet probing wants an exact
+	// snapshot per dispatch, so it keeps a StateFreeRouter on the exact
+	// coordinator; under StaleRouting it observes the window views the
+	// router saw. See Probe.
 	Probe Probe
 	// ProbeEveryDispatches fires the probe every k-th dispatch (k > 0); 0
 	// observes every dispatch. The snapshots are assembled for the router
@@ -142,10 +138,10 @@ type Probe interface {
 	ObserveFleet(now float64, shards []ShardState)
 }
 
-// coordinator is the per-run state shared by the sequential and parallel
-// execution modes: the shard steppers and their result/sink columns, the
-// validated one-arrival lookahead into the global stream, and the scratch
-// the router and probe observe.
+// coordinator is the per-run state shared by the two dispatch contracts:
+// the shard steppers and their result/sink columns, the validated
+// one-arrival lookahead into the global stream, and the scratch the router
+// and probe observe.
 type coordinator struct {
 	cfg    Config
 	n      int
@@ -166,25 +162,15 @@ type coordinator struct {
 	count       int
 	lastRelease float64
 
-	// Sequential mode: the index-min heap over shard next-event times.
+	// Exact contract: the index-min heap over shard next-event times.
 	h shardHeap
 
-	// Parallel modes: the worker pool, and the per-shard completion buffers
-	// with their merge scratch (conservative modes only buffer when
-	// cfg.Sink is set; the speculative mode always buffers, since rollback
-	// must be able to discard rows).
+	// Window contract: the worker pool (nil below two workers), and the
+	// per-shard completion buffers with their merge scratch (only when
+	// cfg.Sink is set).
 	pool      *pool
 	bufs      []*sinkBuffer
 	flushHead []int
-
-	// Speculative mode: per-shard checkpoint state and the fleet-wide
-	// misprediction counters (see speculate.go).
-	spec      []*specShard
-	rollbacks int
-	wasted    int
-
-	// Stale-batched mode: window views published so far (see stale.go).
-	staleViews int
 }
 
 // Run dispatches the global arrival stream across the fleet and merges the
@@ -199,10 +185,11 @@ type coordinator struct {
 // time; per-task rows are never retained, so a run's memory is
 // O(shards · (alive tasks + sink size)) regardless of the stream length.
 //
-// With cfg.Workers >= 2 the shards advance concurrently between routing
-// decisions (see Config.Workers); the returned result and every configured
-// observer output are byte-identical to a sequential run of the same
-// configuration.
+// A state-free router (without a fleet or engine probe) at
+// cfg.Workers >= 2, and every StaleRouting run, take the window
+// coordinator; everything else takes the exact one (see Config.Workers).
+// The returned result and every configured observer output are
+// byte-identical across Workers settings.
 func Run(cfg Config, stream engine.ArrivalStream) (*engine.LoadResult, error) {
 	if stream == nil {
 		return nil, fmt.Errorf("cluster: nil arrival stream")
@@ -220,6 +207,8 @@ func Run(cfg Config, stream engine.ArrivalStream) (*engine.LoadResult, error) {
 	if router == nil {
 		router = NewRoundRobin()
 	}
+	sf, ok := router.(StateFreeRouter)
+	stateFree := ok && sf.StateFree()
 	// Window-stale dispatch is a router capability, not just a flag: the
 	// router must have declared that boundary views are acceptable input.
 	stale := false
@@ -229,15 +218,15 @@ func Run(cfg Config, stream engine.ArrivalStream) (*engine.LoadResult, error) {
 		}
 		if ws, ok := router.(WindowStaleRouter); ok && ws.WindowStale() {
 			stale = true
-		} else if sf, ok := router.(StateFreeRouter); !ok || !sf.StateFree() {
+		} else if !stateFree {
 			return nil, fmt.Errorf("cluster: router %q reads exact fleet state and declares no WindowStaleRouter capability; StaleRouting needs a window-stale router (least-backlog, po2) or a state-free one", router.Name())
 		}
-		// A state-free router never reads the view at all: the batched mode
-		// is already exact and barrier-free, so the flag is a no-op there.
+		// A state-free router never reads the view at all, so the flag is a
+		// no-op there.
 	}
 	if cfg.Prefetch {
 		// The prefetcher is a pure pipeline stage over the global stream —
-		// same arrivals, same order — so it composes with every mode below.
+		// same arrivals, same order — so it composes with both contracts.
 		pf := workload.NewPrefetch(stream, batchSize)
 		defer pf.Stop()
 		stream = pf
@@ -250,12 +239,9 @@ func Run(cfg Config, stream engine.ArrivalStream) (*engine.LoadResult, error) {
 		workers = c.n
 	}
 	// Engine-level probes interleave every shard's rest states on one
-	// timeline — inherently sequential, so they pin the sequential mode.
-	parallel := workers >= 2 && cfg.Opts.Probe == nil
-	// Optimistic execution rides on Stepper.Snapshot, which cannot capture a
-	// decision trace, so traced runs stay on the conservative modes; the
-	// stale-batched mode needs no checkpoints and takes precedence.
-	speculative := parallel && cfg.Speculate && !cfg.Opts.TraceDecisions && !stale
+	// timeline, and fleet probes want an exact snapshot per dispatch; both
+	// pin a state-free router to the exact contract.
+	batched := stale || (workers >= 2 && stateFree && cfg.Probe == nil && cfg.Opts.Probe == nil)
 
 	n := c.n
 	c.runners = make([]*engine.Runner, n)
@@ -265,7 +251,7 @@ func Run(cfg Config, stream engine.ArrivalStream) (*engine.LoadResult, error) {
 	c.steppers = make([]*engine.Stepper, n)
 	c.states = make([]ShardState, n)
 	c.dispatched = make([]int, n)
-	if (parallel || stale) && (cfg.Sink != nil || speculative) {
+	if batched && cfg.Sink != nil {
 		c.bufs = make([]*sinkBuffer, n)
 		c.flushHead = make([]int, n)
 	}
@@ -275,22 +261,12 @@ func Run(cfg Config, stream engine.ArrivalStream) (*engine.LoadResult, error) {
 		c.results[i] = &engine.Result{}
 		c.aggs[i] = engine.NewAggregateSink()
 		c.sketches[i] = engine.NewSketchSink(0)
-		var sink engine.MetricSink
-		if speculative {
-			// Speculated completions must be discardable on rollback, so the
-			// stepper feeds ONLY the window buffer; the aggregate and sketch
-			// observe committed rows at flush time (flushSpec), never
-			// speculated ones.
+		shared := cfg.Sink
+		if c.bufs != nil {
 			c.bufs[i] = &sinkBuffer{}
-			sink = c.bufs[i]
-		} else {
-			shared := cfg.Sink
-			if c.bufs != nil {
-				c.bufs[i] = &sinkBuffer{}
-				shared = c.bufs[i]
-			}
-			sink = engine.MultiSink(c.aggs[i], c.sketches[i], shared)
+			shared = c.bufs[i]
 		}
+		sink := engine.MultiSink(c.aggs[i], c.sketches[i], shared)
 		st, err := c.runners[i].StartFeed(c.results[i], cfg.P, cfg.Policy, sink, cfg.Opts)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: shard %d: %w", i, err)
@@ -298,33 +274,17 @@ func Run(cfg Config, stream engine.ArrivalStream) (*engine.LoadResult, error) {
 		c.steppers[i] = st
 	}
 
-	if stale {
-		// Stale-batched runs the same windowed algorithm at every worker
-		// count — the window schedule is fixed by the stream, workers only
-		// add hands — so even 0 or 1 workers go through runStaleBatched
-		// (serially, without a pool) rather than falling back to the
-		// sequential exact-view coordinator, whose routing would differ.
-		if parallel {
-			c.pool = newPool(workers, n)
-			defer c.pool.close()
-		}
-		return c.runStaleBatched()
-	}
-	if !parallel {
+	if !batched {
 		return c.runSequential()
 	}
-	c.pool = newPool(workers, n)
-	defer c.pool.close()
-	if speculative {
-		return c.runSpeculative()
+	// The window contract runs the same algorithm at every worker count —
+	// the window schedule is fixed by the stream, workers only add hands —
+	// so below two workers it runs serially, without a pool.
+	if workers >= 2 {
+		c.pool = newPool(workers, n)
+		defer c.pool.close()
 	}
-	// A router that never reads fleet state dispatches without a barrier, so
-	// whole batches of arrivals advance concurrently; a fleet probe wants an
-	// exact snapshot per dispatch and keeps the per-dispatch window.
-	if sf, ok := router.(StateFreeRouter); ok && sf.StateFree() && cfg.Probe == nil {
-		return c.runBatched()
-	}
-	return c.runWindowed()
+	return c.runBatched(stale)
 }
 
 // pull advances the global one-arrival lookahead, validating each arrival
@@ -452,107 +412,16 @@ func (c *coordinator) runSequential() (*engine.LoadResult, error) {
 	return c.finish()
 }
 
-// runWindowed is the conservative parallel mode for routers that read fleet
-// state: between consecutive dispatches the shards advance concurrently
-// through the window bounded by the next arrival's release, then the fleet
-// synchronizes so the router (and probe) observe exact snapshots — the same
-// snapshots the sequential interleave produces, because within a window no
-// shard's events depend on another shard's.
-func (c *coordinator) runWindowed() (*engine.LoadResult, error) {
-	var horizon float64
-	work := func(s int) error {
-		if _, err := c.steppers[s].StepUntil(horizon); err != nil {
-			return fmt.Errorf("cluster: shard %d: %w", s, err)
-		}
-		return nil
-	}
-	// The single-dispatch window: buffered completions all fall in one
-	// global window, so the merge key degenerates to (time, shard index).
-	release := make([]float64, 1)
-	advance := func(h float64) error {
-		soonest := math.Inf(1)
-		for _, st := range c.steppers {
-			if t := st.NextEventTime(); t < soonest {
-				soonest = t
-			}
-		}
-		// No shard has an event in the window — common under light backlog,
-		// where the next event IS the arrival. Skip the barrier entirely.
-		if math.IsInf(soonest, 1) || soonest > h {
-			return nil
-		}
-		horizon = h
-		release[0] = h
-		if c.bufs != nil {
-			for _, b := range c.bufs {
-				b.reset(release)
-			}
-		}
-		if err := c.pool.run(work); err != nil {
-			return err
-		}
-		if c.bufs != nil {
-			flushBuffers(c.bufs, c.cfg.Sink, c.flushHead)
-		}
-		return nil
-	}
-
-	next, ok, err := c.pull()
-	if err != nil {
-		return nil, err
-	}
-	if !ok {
-		return nil, fmt.Errorf("cluster: empty arrival stream")
-	}
-	for ok {
-		if err := advance(next.Release); err != nil {
-			return nil, err
-		}
-		c.fillStates()
-		idx, err := c.route(next)
-		if err != nil {
-			return nil, err
-		}
-		if err := c.steppers[idx].Feed(next); err != nil {
-			return nil, fmt.Errorf("cluster: shard %d: %w", idx, err)
-		}
-		c.dispatched[idx]++
-		c.routed++
-		c.observeDispatch(idx, next.Release)
-		next, ok, err = c.pull()
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	for _, st := range c.steppers {
-		st.CloseFeed()
-	}
-	if err := advance(math.Inf(1)); err != nil {
-		return nil, err
-	}
-	return c.finish()
-}
-
 // shardBatch is one shard's dispatch subsequence of the current batch.
 type shardBatch struct {
 	arrivals []int32 // indices into the batch's arrival slice
-}
-
-// newFeedScratch allocates the per-shard arrival scratch feedWindow batches
-// into, or nil when a shared sink forces the per-arrival interleave.
-func (c *coordinator) newFeedScratch() [][]engine.Arrival {
-	if c.bufs != nil {
-		return nil
-	}
-	return make([][]engine.Arrival, c.n)
 }
 
 // feedWindow advances shard s through one dispatch window: its subsequence
 // of the batch is fed in release order, then events drain up to the window
 // horizon. Without a shared sink the whole subsequence goes through
 // Stepper.FeedBatch — one fused advance-and-feed call per shard per window,
-// which is where the batched modes' per-arrival overhead goes away; with
+// which is where batched dispatch's per-arrival overhead goes away; with
 // one, feeds interleave an arrival at a time so the sink buffer's window
 // floor can track each dispatch (see sinkBuffer). The two paths are
 // bit-identical by FeedBatch's contract.
@@ -588,21 +457,32 @@ func (c *coordinator) feedWindow(s int, arrs []engine.Arrival, idxs []int32, scr
 	return nil
 }
 
-// runBatched is the wide-window parallel mode for state-free routers: the
-// coordinator pre-routes up to batchSize arrivals (the router never looks at
-// the fleet, so routing needs no synchronization), hands every shard its
-// dispatch subsequence, and lets the workers interleave feeds with event
-// processing privately per shard — one barrier per batch instead of one per
-// dispatch. Per-shard trajectories are identical to the sequential
-// coordinator's because a stepper's events depend only on its own feeds and
-// their release times; the shared sink's global order is reconstructed from
-// the per-row (window, time, shard) key (see sinkBuffer).
-func (c *coordinator) runBatched() (*engine.LoadResult, error) {
+// runBatched is the window contract's coordinator. Each window it publishes
+// a fleet view — every shard's exact rest state at the previous window's
+// horizon — pre-routes up to batchSize arrivals against it, counting each
+// routed-but-not-yet-admitted arrival into its target's backlog and
+// dispatch tally, and then hands every shard its dispatch subsequence to
+// advance privately: one barrier per window instead of one per dispatch.
+//
+// Determinism does not depend on the worker count. Which arrivals form a
+// window is fixed by the stream and batchSize, and every shard's state at a
+// boundary is fixed by the dispatches before it, so the views — and with
+// them the dispatch sequence — never depend on how many workers advanced
+// the shards or in what order they finished. A state-free router never
+// reads the view, so its per-shard trajectories are exactly the exact
+// coordinator's (a stepper's events depend only on its own feeds and their
+// release times); a window-stale router reads it and gets its own
+// deterministic schedule, stale by at most one window. The shared sink's
+// global order is reconstructed from the per-row (window, time, shard) key
+// (see sinkBuffer), and the fleet probe observes the same views the router
+// saw.
+func (c *coordinator) runBatched(stale bool) (*engine.LoadResult, error) {
 	arrs := make([]engine.Arrival, 0, batchSize)
 	releases := make([]float64, 0, batchSize)
 	perShard := make([]shardBatch, c.n)
-	scratch := c.newFeedScratch()
+	scratch := make([][]engine.Arrival, c.n) // per-shard FeedBatch input
 	var horizon float64
+	views := 0
 
 	work := func(s int) error {
 		return c.feedWindow(s, arrs, perShard[s].arrivals, scratch, horizon)
@@ -621,9 +501,12 @@ func (c *coordinator) runBatched() (*engine.LoadResult, error) {
 		for i := range perShard {
 			perShard[i].arrivals = perShard[i].arrivals[:0]
 		}
+		// Every shard is at rest at the last window boundary, so this view —
+		// and every routing decision of the window — depends only on where
+		// the boundaries fall in the stream.
+		c.fillStates()
+		views++
 		for ok && len(arrs) < batchSize {
-			// The router is state-free: c.states carries only the shard
-			// indices, and the contract is that Route reads nothing else.
 			idx, err := c.route(next)
 			if err != nil {
 				return nil, err
@@ -633,49 +516,72 @@ func (c *coordinator) runBatched() (*engine.LoadResult, error) {
 			perShard[idx].arrivals = append(perShard[idx].arrivals, int32(len(arrs)-1))
 			c.dispatched[idx]++
 			c.routed++
+			// The coordinator's own dispatches are the one part of the view
+			// it can keep current for free: counting them spreads a window
+			// across shards instead of dogpiling the boundary minimum.
+			c.states[idx].Backlog++
+			c.states[idx].Dispatched = c.dispatched[idx]
+			c.observeDispatch(idx, next.Release)
 			next, ok, err = c.pull()
 			if err != nil {
 				return nil, err
 			}
 		}
 		horizon = releases[len(releases)-1]
-		if c.bufs != nil {
-			for _, b := range c.bufs {
-				b.reset(releases)
-			}
-		}
-		if err := c.pool.run(work); err != nil {
+		if err := c.runWindow(work, releases); err != nil {
 			return nil, err
-		}
-		if c.bufs != nil {
-			flushBuffers(c.bufs, c.cfg.Sink, c.flushHead)
 		}
 	}
 
 	for _, st := range c.steppers {
 		st.CloseFeed()
 	}
-	// Drain every shard to its last event in parallel; drain rows carry
-	// window 0 over an empty release table, i.e. plain (time, shard) order,
-	// which is exactly the sequential drain's interleave.
-	if c.bufs != nil {
-		for _, b := range c.bufs {
-			b.reset(nil)
-		}
-	}
+	// Drain every shard to its last event; drain rows carry window 0 over an
+	// empty release table, i.e. plain (time, shard) order, which is exactly
+	// the sequential drain's interleave.
 	drain := func(s int) error {
 		if _, err := c.steppers[s].StepUntil(math.Inf(1)); err != nil {
 			return fmt.Errorf("cluster: shard %d: %w", s, err)
 		}
 		return nil
 	}
-	if err := c.pool.run(drain); err != nil {
+	if err := c.runWindow(drain, nil); err != nil {
 		return nil, err
+	}
+	res, err := c.finish()
+	if err != nil {
+		return nil, err
+	}
+	if stale {
+		res.StaleViews = views
+		res.StaleWindow = batchSize
+	}
+	return res, nil
+}
+
+// runWindow executes one window's shard work against the given release
+// table: on the pool, or serially on the coordinator goroutine when the run
+// has no pool (Workers < 2) — same work, same results, fewer hands. The
+// shared-sink buffers are reset before and replayed into cfg.Sink after.
+func (c *coordinator) runWindow(work func(int) error, releases []float64) error {
+	for _, b := range c.bufs {
+		b.reset(releases)
+	}
+	if c.pool != nil {
+		if err := c.pool.run(work); err != nil {
+			return err
+		}
+	} else {
+		for s := 0; s < c.n; s++ {
+			if err := work(s); err != nil {
+				return err
+			}
+		}
 	}
 	if c.bufs != nil {
 		flushBuffers(c.bufs, c.cfg.Sink, c.flushHead)
 	}
-	return c.finish()
+	return nil
 }
 
 // finish completes the drained fleet: the final Step every shard needs to

@@ -152,7 +152,7 @@ func TestBacklogAwareRoutersBeatRoundRobinP99(t *testing.T) {
 	}
 	// The stale-routing quality guard: window-stale least-backlog trades
 	// view freshness for barrier-free dispatch, and the trade must stay
-	// cheap — p99 flow within 1.10x of the exact-windowed router on this
+	// cheap — p99 flow within 1.10x of the exact-view router on this
 	// same near-saturated workload (measured ~1.0x at this seed; the
 	// stale-vs-exact-vs-round-robin table is in EXPERIMENTS.md).
 	staleLB := runClusterMode(t, "least-backlog", 4, n, seed, true)
@@ -161,7 +161,7 @@ func TestBacklogAwareRoutersBeatRoundRobinP99(t *testing.T) {
 	}
 	const staleMargin = 1.10
 	if staleLB.Flow.P99 > staleMargin*lb.Flow.P99 {
-		t.Errorf("stale least-backlog p99 %.4g exceeds %.2fx the exact-windowed %.4g",
+		t.Errorf("stale least-backlog p99 %.4g exceeds %.2fx the exact-view %.4g",
 			staleLB.Flow.P99, staleMargin, lb.Flow.P99)
 	}
 	// And it must still be a backlog-aware router, not a round-robin in

@@ -3,6 +3,7 @@ package cluster
 import (
 	"encoding/json"
 	"fmt"
+	"strings"
 	"testing"
 
 	"github.com/malleable-sched/malleable/internal/engine"
@@ -12,7 +13,7 @@ import (
 
 // recordingStateFree is a recordingRouter that preserves the wrapped
 // router's state-free declaration, so recording the dispatch sequence does
-// not silently demote a batched-mode run to the windowed mode.
+// not silently demote a batched run to the exact coordinator.
 type recordingStateFree struct {
 	recordingRouter
 }
@@ -42,37 +43,65 @@ func record(inner Router) (Router, *recordingRouter) {
 	return r, r
 }
 
+// observers selects what a captured run attaches: a shared sink, a fleet
+// probe, an engine probe.
+type observers struct {
+	sink, fleetProbe, engineProbe bool
+}
+
 // parallelCapture is everything observable about one cluster run: the
 // dispatch sequence, the full merged result (JSON blob, so every field
-// participates in the comparison), every shared-sink row in order, and the
-// fleet-probe trace.
+// participates in the comparison), every shared-sink row in order, the
+// fleet-probe trace and the engine-probe trace. sinkBursts counts the gaps
+// between routing decisions in which sink rows arrived: the window
+// coordinator delivers rows only at window barriers, the exact coordinator
+// between almost every pair of dispatches.
 type parallelCapture struct {
-	dispatch []int
-	blob     []byte
-	rows     []engine.TaskMetrics
-	probe    *fleetProbe
+	dispatch   []int
+	blob       []byte
+	rows       []engine.TaskMetrics
+	probe      *fleetProbe
+	snaps      []engine.Snapshot
+	sinkBursts int
 }
 
 func captureRun(t *testing.T, cfg Config, stream engine.ArrivalStream, withProbe bool) parallelCapture {
 	t.Helper()
+	got, err := captureObserved(cfg, stream, observers{sink: true, fleetProbe: withProbe})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return got
+}
+
+func captureObserved(cfg Config, stream engine.ArrivalStream, o observers) (parallelCapture, error) {
 	routed, rec := record(cfg.Router)
 	cfg.Router = routed
-	var rows []engine.TaskMetrics
-	cfg.Sink = sinkFunc(func(m engine.TaskMetrics) { rows = append(rows, m) })
-	var probe *fleetProbe
-	if withProbe {
-		probe = &fleetProbe{}
-		cfg.Probe = probe
+	var got parallelCapture
+	if o.sink {
+		mark := -1
+		cfg.Sink = sinkFunc(func(m engine.TaskMetrics) {
+			if mark != len(rec.dispatch) {
+				mark = len(rec.dispatch)
+				got.sinkBursts++
+			}
+			got.rows = append(got.rows, m)
+		})
+	}
+	if o.fleetProbe {
+		got.probe = &fleetProbe{}
+		cfg.Probe = got.probe
+	}
+	if o.engineProbe {
+		cfg.Opts.Probe = engine.ProbeFunc(func(s engine.Snapshot) { got.snaps = append(got.snaps, s) })
 	}
 	res, err := Run(cfg, stream)
 	if err != nil {
-		t.Fatal(err)
+		return got, err
 	}
-	blob, err := json.Marshal(res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return parallelCapture{dispatch: rec.dispatch, blob: blob, rows: rows, probe: probe}
+	got.blob, err = json.Marshal(res)
+	got.dispatch = rec.dispatch
+	return got, err
 }
 
 func assertCapturesEqual(t *testing.T, want, got parallelCapture, label string) {
@@ -112,13 +141,26 @@ func assertCapturesEqual(t *testing.T, want, got parallelCapture, label string) 
 			}
 		}
 	}
+	if len(want.snaps) != len(got.snaps) {
+		t.Fatalf("%s: engine probe fired %d times, sequential %d", label, len(got.snaps), len(want.snaps))
+	}
+	for i := range want.snaps {
+		if want.snaps[i] != got.snaps[i] {
+			t.Fatalf("%s: engine probe observation %d = %+v, sequential %+v", label, i, got.snaps[i], want.snaps[i])
+		}
+	}
 }
 
-// The tentpole contract: a parallel cluster run is byte-identical to the
-// sequential coordinator at ANY worker count — dispatch sequence, merged
-// LoadResult, shared-sink order, fleet-probe trace — for every bundled
-// router, with and without a fleet probe (the probe pins the per-dispatch
-// window even for state-free routers, so both parallel modes are exercised).
+// The coordinator-selection contract, as one table: every bundled router ×
+// Workers {0, 1, 2, 8} × observer {plain, shared sink, fleet probe, engine
+// probe} × StaleRouting. Selection is batched := stale || (workers >= 2 &&
+// state-free router && no fleet or engine probe); everything else runs the
+// exact coordinator. Non-stale runs must be byte-identical to the Workers 0
+// run — dispatch sequence, merged LoadResult, sink rows, probe traces —
+// whichever coordinator the rule picked; stale runs must be byte-identical
+// across Workers; the one rejected bundled combination (StaleRouting with
+// an engine probe, whatever the router) must keep its error. The sink's
+// delivery pattern shows which coordinator actually ran.
 func TestParallelMatchesSequentialByteForByte(t *testing.T) {
 	const n, shards, seed = 3000, 4, 7
 	newStream := func() engine.ArrivalStream {
@@ -135,27 +177,55 @@ func TestParallelMatchesSequentialByteForByte(t *testing.T) {
 		}
 		return r
 	}
+	kinds := []struct {
+		name string
+		o    observers
+	}{
+		{"plain", observers{}},
+		{"sink", observers{sink: true}},
+		{"fleet-probe", observers{fleetProbe: true}},
+		{"engine-probe", observers{engineProbe: true}},
+	}
+	windows := (n + batchSize - 1) / batchSize
 	for _, router := range RouterNames() {
-		for _, withProbe := range []bool{false, true} {
-			mode := "noprobe"
-			if withProbe {
-				mode = "probe"
+		sf, ok := newRouter(router).(StateFreeRouter)
+		stateFree := ok && sf.StateFree()
+		for _, kind := range kinds {
+			for _, stale := range []bool{false, true} {
+				t.Run(fmt.Sprintf("%s/%s/stale=%v", router, kind.name, stale), func(t *testing.T) {
+					var ref parallelCapture
+					for _, workers := range []int{0, 1, 2, 8} {
+						cfg := Config{Shards: shards, P: 8, Policy: wdeq(t), Router: newRouter(router),
+							Workers: workers, StaleRouting: stale}
+						got, err := captureObserved(cfg, newStream(), kind.o)
+						if stale && kind.o.engineProbe {
+							if err == nil || !strings.Contains(err.Error(), "Opts.Probe") {
+								t.Fatalf("workers=%d: StaleRouting with an engine probe: err = %v, want the Opts.Probe rejection", workers, err)
+							}
+							continue
+						}
+						if err != nil {
+							t.Fatalf("workers=%d: %v", workers, err)
+						}
+						if len(got.dispatch) != n {
+							t.Fatalf("workers=%d: routed %d arrivals, want %d", workers, len(got.dispatch), n)
+						}
+						if kind.o.sink {
+							batched := (stale && !stateFree) ||
+								(workers >= 2 && stateFree && !kind.o.fleetProbe && !kind.o.engineProbe)
+							if windowed := got.sinkBursts <= windows+1; windowed != batched {
+								t.Fatalf("workers=%d: sink rows arrived in %d bursts over %d windows; want batched=%v",
+									workers, got.sinkBursts, windows, batched)
+							}
+						}
+						if workers == 0 {
+							ref = got
+							continue
+						}
+						assertCapturesEqual(t, ref, got, fmt.Sprintf("workers=%d", workers))
+					}
+				})
 			}
-			t.Run(fmt.Sprintf("%s/%s", router, mode), func(t *testing.T) {
-				base := Config{Shards: shards, P: 8, Policy: wdeq(t)}
-				base.Router = newRouter(router)
-				seq := captureRun(t, base, newStream(), withProbe)
-				if len(seq.dispatch) != n {
-					t.Fatalf("sequential run routed %d arrivals, want %d", len(seq.dispatch), n)
-				}
-				for _, workers := range []int{1, 2, 3, shards, 16} {
-					cfg := base
-					cfg.Router = newRouter(router)
-					cfg.Workers = workers
-					par := captureRun(t, cfg, newStream(), withProbe)
-					assertCapturesEqual(t, seq, par, fmt.Sprintf("workers=%d", workers))
-				}
-			})
 		}
 	}
 }

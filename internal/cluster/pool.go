@@ -125,7 +125,7 @@ type taggedRow struct {
 }
 
 // sinkBuffer stands in for the shared Config.Sink on one shard during
-// parallel execution: it records completions instead of forwarding them, so
+// batched execution: it records completions instead of forwarding them, so
 // workers never touch the shared sink concurrently, and the coordinator
 // replays the buffers into the real sink at the next barrier in exactly the
 // order the sequential coordinator would have produced.

@@ -49,15 +49,16 @@ type Router interface {
 
 // StateFreeRouter is the optional capability a Router declares when its
 // Route decisions never read the per-shard snapshots — round-robin cycles a
-// counter, hash-tenant hashes the arrival; neither looks at backlog. A
-// parallel coordinator (Config.Workers >= 2) exploits the declaration: since
+// counter, hash-tenant hashes the arrival; neither looks at backlog. With
+// Config.Workers >= 2 the coordinator exploits the declaration: since
 // routing such arrivals needs no exact fleet state, whole batches of
-// dispatches proceed without synchronizing the shards, which is what buys
-// near-linear scaling. The contract is strict: a Route that returns
-// StateFree() true must not read ANY field of the shards slice beyond its
-// length — the snapshots handed to it in batched mode are stale. Load-aware
-// routers (least-backlog, po2) simply don't implement the interface and get
-// an exact snapshot per dispatch in every mode.
+// dispatches proceed without synchronizing the shards (the window
+// contract), which is what buys near-linear scaling. The contract is
+// strict: a Route that returns StateFree() true must not read ANY field of
+// the shards slice beyond its length — the snapshots handed to it in
+// batched mode are stale. Load-aware routers (least-backlog, po2) simply
+// don't implement the interface and get an exact snapshot per dispatch
+// unless they opt into StaleRouting.
 type StateFreeRouter interface {
 	Router
 	// StateFree reports that Route ignores the shards snapshot contents.
@@ -66,7 +67,7 @@ type StateFreeRouter interface {
 
 // WindowStaleRouter is the opt-in capability of a state-reading router that
 // accepts fleet views observed as of the last window boundary instead of
-// exact dispatch-time snapshots. The coordinator's stale-batched mode
+// exact dispatch-time snapshots. The coordinator's window contract
 // (Config.StaleRouting) publishes one view per dispatch window of up to
 // batchSize arrivals — the state every shard reached at the previous
 // window's horizon, evolved only by the coordinator's own in-window
@@ -78,7 +79,7 @@ type StateFreeRouter interface {
 // window-stale run byte-identical at any worker count (the views depend
 // only on where the window boundaries fall in the stream, never on worker
 // interleaving). Routers that need exact state simply don't implement the
-// interface and keep the per-dispatch window in every mode.
+// interface and always run on the exact coordinator.
 type WindowStaleRouter interface {
 	Router
 	// WindowStale reports that Route accepts window-boundary views.
@@ -175,7 +176,7 @@ func (r *LeastBacklog) Route(a engine.Arrival, shards []ShardState) int {
 	return best
 }
 
-// WindowStale opts least-backlog into stale-batched dispatch: its scan
+// WindowStale opts least-backlog into window-stale dispatch: its scan
 // reads Backlog and Dispatched, and both stay meaningful on a
 // window-boundary view — each in-window dispatch counts into its target's
 // backlog estimate until the next boundary republishes exact state, so a
@@ -213,7 +214,7 @@ func (r *PowerOfTwo) Route(a engine.Arrival, shards []ShardState) int {
 	return i
 }
 
-// WindowStale opts power-of-two-choices into stale-batched dispatch: its
+// WindowStale opts power-of-two-choices into window-stale dispatch: its
 // two sampled backlogs tolerate boundary staleness by construction (the
 // classic analysis assumes sampled, possibly outdated load), and the
 // coordinator's in-window dispatch counting keeps repeated draws from

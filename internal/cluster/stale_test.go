@@ -10,8 +10,8 @@ import (
 	"github.com/malleable-sched/malleable/internal/workload"
 )
 
-// The stale-batched determinism contract, asserted like the parallel and
-// speculative equivalence suites: the run at Workers=0 is the reference, and
+// The stale-batched determinism contract, asserted like the parallel
+// equivalence suite: the run at Workers=0 is the reference, and
 // every other worker count — 1, a few, all shards, beyond the shards — must
 // reproduce it byte for byte (dispatch sequence, merged result, shared-sink
 // order, fleet-probe trace), for both window-stale routers, with and
@@ -147,39 +147,6 @@ func TestStaleBatchedViewAccounting(t *testing.T) {
 	}
 }
 
-// Speculate and StaleRouting both claim the parallel coordinator; stale
-// takes precedence, so the combination must match plain stale byte for byte
-// and report no rollbacks.
-func TestStaleRoutingPrecedesSpeculate(t *testing.T) {
-	const n, shards, seed = 2000, 4, 11
-	run := func(speculate bool) ([]byte, int) {
-		stream, err := workload.NewStream(skewedConfig(60.8), n, seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := Run(Config{
-			Shards: shards, P: 8, Policy: wdeq(t), Router: NewLeastBacklog(),
-			StaleRouting: true, Speculate: speculate, Workers: 4,
-		}, stream)
-		if err != nil {
-			t.Fatal(err)
-		}
-		blob, err := json.Marshal(res)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return blob, res.Rollbacks
-	}
-	plain, _ := run(false)
-	both, rollbacks := run(true)
-	if string(plain) != string(both) {
-		t.Fatal("StaleRouting+Speculate diverges from plain StaleRouting")
-	}
-	if rollbacks != 0 {
-		t.Fatalf("stale-batched run reported %d rollbacks", rollbacks)
-	}
-}
-
 // The StaleRouting flag is a capability check, not a blind switch: a
 // state-free router ignores it (batched dispatch never reads the view), an
 // exact-state router without the capability is rejected, and an engine
@@ -231,7 +198,7 @@ func TestStaleRoutingGating(t *testing.T) {
 	}
 }
 
-// Config.Prefetch is a pure pipeline stage: every coordinator mode must be
+// Config.Prefetch is a pure pipeline stage: both dispatch contracts must be
 // byte-identical with and without it.
 func TestClusterPrefetchByteIdentical(t *testing.T) {
 	const n, shards, seed = 3000, 4, 7
@@ -249,7 +216,7 @@ func TestClusterPrefetchByteIdentical(t *testing.T) {
 		{"sequential-exact", func() Config {
 			return Config{Shards: shards, P: 8, Policy: wdeq(t), Router: NewLeastBacklog()}
 		}},
-		{"windowed-exact", func() Config {
+		{"exact-with-workers", func() Config {
 			return Config{Shards: shards, P: 8, Policy: wdeq(t), Router: NewLeastBacklog(), Workers: 2}
 		}},
 		{"batched-state-free", func() Config {

@@ -151,71 +151,6 @@ func TestRunnerReuseUncomparablePolicy(t *testing.T) {
 	}
 }
 
-// The checkpoint primitive inherits the zero-allocation contract: once a
-// StepperSnapshot's buffers have been warmed by one capture at a similar
-// backlog, repeated Snapshot and Restore calls allocate nothing — the
-// property that lets the speculative cluster coordinator checkpoint at every
-// speculated dispatch boundary without perturbing the alloc gates.
-func TestSnapshotRestoreZeroAllocsWarmed(t *testing.T) {
-	arrivals := allocArrivals(t, 256, 123)
-	policy, err := PolicyByName("wdeq")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var res Result
-	st, err := NewRunner().StartFeed(&res, 8, policy, nil, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, a := range arrivals {
-		if err := st.Feed(a); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Park mid-run, where the live set and feed queue are both non-trivial.
-	for i := 0; i < 120; i++ {
-		if ok, err := st.Step(); err != nil || !ok {
-			t.Fatalf("step %d: ok=%v err=%v", i, ok, err)
-		}
-	}
-	var snap StepperSnapshot
-	var opErr error
-	if opErr = st.Snapshot(&snap); opErr != nil { // warm the snapshot buffers
-		t.Fatal(opErr)
-	}
-	if allocs := testing.AllocsPerRun(10, func() {
-		if err := st.Snapshot(&snap); err != nil {
-			opErr = err
-		}
-	}); opErr != nil || allocs != 0 {
-		t.Errorf("warmed Snapshot allocated %.3g times (err=%v); want 0", allocs, opErr)
-	}
-	if allocs := testing.AllocsPerRun(10, func() {
-		if err := st.Restore(&snap); err != nil {
-			opErr = err
-		}
-	}); opErr != nil || allocs != 0 {
-		t.Errorf("warmed Restore allocated %.3g times (err=%v); want 0", allocs, opErr)
-	}
-	// The restored stepper is still a correct run: drive it home.
-	st.CloseFeed()
-	for {
-		ok, err := st.Step()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
-	}
-	if err := st.Finish(); err != nil {
-		t.Fatal(err)
-	}
-	if res.Completed != len(arrivals) {
-		t.Fatalf("completed %d tasks after rollback, want %d", res.Completed, len(arrivals))
-	}
-}
-
 // Unsorted arrival streams must be handled (sorted internally) and produce
 // the same outcome as the pre-sorted stream.
 func TestUnsortedArrivalsSorted(t *testing.T) {

@@ -364,8 +364,7 @@ type Runner struct {
 	// Event-core scratch (CoreAuto): the (key, id) slot heap over virtual
 	// completion keys, the delta-ratio eligibility heap, the fallback
 	// completion-quotient heap, and a key buffer for bulk rebuilds. All of it
-	// is rebuilt from r.live on demand (validity flags), so Snapshot/Restore
-	// round-trips without capturing any of it.
+	// is rebuilt from r.live on demand (validity flags).
 	vq         keyHeap
 	drh        idxHeap
 	qth        idxHeap
@@ -1361,8 +1360,8 @@ func (st *Stepper) retireVirtual() {
 }
 
 // minKeySlot returns the slot holding the (key, id)-least virtual completion
-// key: the key heap under CoreAuto (rebuilt from the live slots if a
-// restore or transition invalidated it), the reference scan under CoreNaive.
+// key: the key heap under CoreAuto (rebuilt from the live slots if a run
+// start or transition invalidated it), the reference scan under CoreNaive.
 func (st *Stepper) minKeySlot() (int, bool) {
 	r := st.r
 	if len(r.live) == 0 {

@@ -18,13 +18,13 @@ import "math"
 // O(log n) whatever the key stream, and both obey the determinism rule of the
 // whole engine: every value they surface (a minimum key, a pop order) is a
 // pure function of the (key, task-id) multiset they hold, never of their
-// internal layout. A queue rebuilt from a snapshot therefore pops the same
-// sequence as the queue that grew event by event — the property
-// FuzzStepperSnapshotRoundTrip and FuzzEventQueueEquivalence both lean on.
+// internal layout. A queue rebuilt from the live slots on a mode transition
+// therefore pops the same sequence as a queue that grew event by event —
+// the property FuzzEventQueueEquivalence leans on.
 //
 // All storage is Runner scratch: pushes append into kept-capacity slices, so
-// a warmed engine runs both structures without heap allocation, and Restore
-// rebuilds them from the live slots without allocating either.
+// a warmed engine runs both structures without heap allocation, and a
+// rebuild from the live slots does not allocate either.
 
 // QueueStats is the per-run counter pair recording which event core ran each
 // policy event: the virtual-clock equal-share path (no policy invocation, the
@@ -189,7 +189,7 @@ func (h *idxHeap) min() float64 {
 }
 
 // rebuild re-heapifies from the keys slice (indexed by slot, length n) in
-// O(n) — the bulk path for mode transitions, restores, and events where most
+// O(n) — the bulk path for mode transitions and events where most
 // keys changed at once.
 func (h *idxHeap) rebuild(keys []float64) {
 	n := len(keys)
@@ -312,7 +312,7 @@ func (q *keyHeap) renumber(oldSlot, newSlot int) {
 }
 
 // rebuild bulk-loads the queue from every live slot in O(n) — the
-// transition and restore path.
+// transition path.
 func (q *keyHeap) rebuild(live []liveTask) {
 	n := len(live)
 	q.pos = growInt32(q.pos, n)

@@ -361,98 +361,6 @@ func TestStepUntilVirtualHorizon(t *testing.T) {
 	}
 }
 
-// Snapshot taken mid-virtual-segment (keys live in the key heap), restored
-// into a fresh Runner, then re-driven: the continuation must be bitwise
-// identical to the uninterrupted run, and the rebuilt heap must pop the same
-// sequence the incrementally grown one did. This is the
-// snapshot contract of the event core: structures are never serialized, only
-// the scalars and the live slots, and everything else is a pure function of
-// those.
-func TestSnapshotMidBucketRestoreRedrive(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	arrivals := make([]Arrival, 0, 500)
-	now := 0.0
-	for i := 0; i < 500; i++ {
-		now += rng.Float64() * 0.15
-		arrivals = append(arrivals, Arrival{
-			Release: now,
-			Tenant:  i % 3,
-			Task:    schedule.Task{Volume: rng.Float64() * 4, Weight: 1 + rng.Float64(), Delta: 1 + rng.Float64()*7},
-		})
-	}
-	for _, core := range []EventCore{CoreAuto, CoreNaive} {
-		for snapAt := 60; snapAt < 500; snapAt += 110 {
-			var resA Result
-			rA := NewRunner()
-			stA, err := rA.StartFeed(&resA, 8, WDEQPolicy{}, nil, Options{EventCore: core})
-			if err != nil {
-				t.Fatal(err)
-			}
-			var snap StepperSnapshot
-			var snapVirtual bool
-			for i, a := range arrivals {
-				if err := stA.Feed(a); err != nil {
-					t.Fatal(err)
-				}
-				if _, err := stA.StepUntil(a.Release); err != nil {
-					t.Fatal(err)
-				}
-				if i == snapAt {
-					if err := stA.Snapshot(&snap); err != nil {
-						t.Fatal(err)
-					}
-					snapVirtual = stA.virtual
-				}
-			}
-			stA.CloseFeed()
-			if _, err := stA.StepUntil(math.Inf(1)); err != nil {
-				t.Fatal(err)
-			}
-			if err := stA.Finish(); err != nil {
-				t.Fatal(err)
-			}
-
-			var resB Result
-			rB := NewRunner()
-			stB, err := rB.StartFeed(&resB, 8, WDEQPolicy{}, nil, Options{EventCore: core})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := stB.Restore(&snap); err != nil {
-				t.Fatal(err)
-			}
-			for _, a := range arrivals[snapAt+1:] {
-				if err := stB.Feed(a); err != nil {
-					t.Fatal(err)
-				}
-				if _, err := stB.StepUntil(a.Release); err != nil {
-					t.Fatal(err)
-				}
-			}
-			stB.CloseFeed()
-			if _, err := stB.StepUntil(math.Inf(1)); err != nil {
-				t.Fatal(err)
-			}
-			if resA.WeightedFlow != resB.WeightedFlow || resA.Events != resB.Events ||
-				resA.Makespan != resB.Makespan || resA.Completed != resB.Completed ||
-				resA.WeightedCompletion != resB.WeightedCompletion {
-				t.Fatalf("core %v snapAt=%d (virtual=%v): restored continuation diverges: wf %.17g vs %.17g, ev %d vs %d",
-					core, snapAt, snapVirtual, resA.WeightedFlow, resB.WeightedFlow, resA.Events, resB.Events)
-			}
-			if stA.QueueStats() != stB.QueueStats() {
-				t.Fatalf("core %v snapAt=%d: queue stats diverge: %+v vs %+v",
-					core, snapAt, stA.QueueStats(), stB.QueueStats())
-			}
-			if core == CoreAuto && snapAt == 60 && !snapVirtual {
-				// The workload is overloaded enough that the first snapshot
-				// point should sit inside a virtual segment; if not, the
-				// "mid-bucket" part of this test is vacuous.
-				t.Logf("warning: snapshot at %d not in a virtual segment", snapAt)
-			}
-		}
-	}
-}
-
 // Direct structure test of the key heap under the kernel's access pattern:
 // pushes of keys below the current minimum, pops and arbitrary removals by
 // swap-delete with the renumber fixup, and ties at equal and at infinite

@@ -274,51 +274,6 @@ func TestFeedBatchResumesSuspendedStepper(t *testing.T) {
 	}
 }
 
-// Snapshot in the middle of a batched feed, restore into a fresh Runner,
-// and continue batching: the restored run must finish bit-identically — the
-// speculative coordinator checkpoints exactly this way between windows.
-func TestFeedBatchSnapshotRestoreMidBatch(t *testing.T) {
-	arrivals := allocArrivals(t, 200, 43)
-	policy, err := PolicyByName("wdeq")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cut := len(arrivals) / 3
-
-	var resA Result
-	stA, err := NewRunner().StartFeed(&resA, 8, policy, nil, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := stA.FeedBatch(arrivals[:cut]); err != nil {
-		t.Fatal(err)
-	}
-	var snap StepperSnapshot
-	if err := stA.Snapshot(&snap); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := stA.FeedBatch(arrivals[cut:]); err != nil {
-		t.Fatal(err)
-	}
-	drainAndFinish(t, stA)
-
-	var resB Result
-	stB, err := NewRunner().StartFeed(&resB, 8, policy, nil, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := stB.Restore(&snap); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := stB.FeedBatch(arrivals[cut:]); err != nil {
-		t.Fatal(err)
-	}
-	drainAndFinish(t, stB)
-	if !aggregateEqual(&resA, &resB) {
-		t.Fatalf("restored batched run diverges:\n%+v\nvs\n%+v", resB, resA)
-	}
-}
-
 // FuzzFeedBatchEquivalence pins the tentpole claim: chunking an arbitrary
 // generated stream through FeedBatch at an arbitrary window size is
 // bitwise-equivalent to the one-at-a-time StepUntil+Feed interleave, for

@@ -75,30 +75,12 @@ type LoadResult struct {
 	// mergeable form. Long-running callers (mwct serve) fold it into
 	// cumulative counters across many load tests.
 	Aggregate *AggregateSink `json:"-"`
-	// Rollbacks and WastedEvents report the speculative cluster
-	// coordinator's misprediction cost: how many times a shard was rolled
-	// back to a checkpoint, and how many already-processed events those
-	// rollbacks discarded (the events re-execute after the rollback, so
-	// Events above counts only committed work). Both are zero outside
-	// speculative mode. Excluded from JSON so serialized reports stay
-	// byte-identical across coordinator modes.
-	Rollbacks    int `json:"-"`
-	WastedEvents int `json:"-"`
-	// SpecBatchMin, SpecBatchMax and SpecBatchLast trace the speculative
-	// coordinator's adaptive window controller: the smallest and largest
-	// window depth it ran and the depth it settled on. The depth trades
-	// wall-clock time against rollback waste and never influences the
-	// scheduling outcome, so — like the counters above — it is excluded
-	// from JSON. All zero outside speculative mode.
-	SpecBatchMin  int `json:"-"`
-	SpecBatchMax  int `json:"-"`
-	SpecBatchLast int `json:"-"`
-	// StaleViews and StaleWindow report the stale-batched coordinator's
-	// view cadence: how many window-boundary fleet views were published and
-	// the dispatch window size they were published at. Dispatches per view
-	// is TotalTasks / StaleViews. Both are zero outside stale-batched mode
-	// and — like the counters above — excluded from JSON, since they
-	// describe coordinator mechanics, not the scheduling outcome.
+	// StaleViews and StaleWindow report a StaleRouting cluster run's view
+	// cadence: how many window-boundary fleet views were published and the
+	// dispatch window size they were published at. Dispatches per view is
+	// TotalTasks / StaleViews. Both are zero on every other run and are
+	// excluded from JSON, since they describe coordinator mechanics, not
+	// the scheduling outcome.
 	StaleViews  int `json:"-"`
 	StaleWindow int `json:"-"`
 }

@@ -113,9 +113,6 @@ type ClusterCollector struct {
 	imbalance      *Gauge
 	dispatchedTot  *Counter
 	observationTot *Counter
-	rollbacksTot   *Counter
-	wastedTot      *Counter
-	specBatch      *Gauge
 	staleViewsTot  *Counter
 	staleWindow    *Gauge
 
@@ -139,28 +136,17 @@ func NewClusterCollector(r *Registry) *ClusterCollector {
 		imbalance:       r.Gauge("mwct_cluster_backlog_imbalance", "Max minus min per-shard backlog at the last observation."),
 		dispatchedTot:   r.Counter("mwct_cluster_dispatched_total", "Arrivals dispatched across the fleet."),
 		observationTot:  r.Counter("mwct_cluster_observations_total", "Fleet observations delivered to the collector."),
-		rollbacksTot:    r.Counter("mwct_cluster_rollbacks_total", "Shard rollbacks performed by the speculative coordinator."),
-		wastedTot:       r.Counter("mwct_cluster_wasted_events_total", "Policy invocations discarded by speculative rollbacks."),
-		specBatch:       r.Gauge("mwct_cluster_spec_batch", "Speculation window depth the adaptive controller settled on in the last speculative run."),
 		staleViewsTot:   r.Counter("mwct_cluster_stale_views_total", "Window-boundary fleet views published by stale-batched coordinators."),
 		staleWindow:     r.Gauge("mwct_cluster_stale_window", "Dispatch window size of the last stale-batched run."),
 	}
 }
 
-// ObserveResult folds a completed cluster run's misprediction counters into
-// the registry. Rollback cost is only known when the run's merged LoadResult
-// exists — the speculative coordinator counts rollbacks as it commits windows
-// and reports the totals on the result — so unlike the dispatch-time gauges
-// these counters advance once per run. Conservative and sequential runs
-// report zeros, leaving the counters untouched.
+// ObserveResult folds a completed cluster run's view counters into the
+// registry. The view cadence is only known when the run's merged
+// LoadResult exists, so unlike the dispatch-time gauges these counters
+// advance once per run. Exact-view runs report zeros, leaving them
+// untouched.
 func (c *ClusterCollector) ObserveResult(res *engine.LoadResult) {
-	c.rollbacksTot.Add(float64(res.Rollbacks))
-	c.wastedTot.Add(float64(res.WastedEvents))
-	if res.SpecBatchLast > 0 {
-		c.specBatch.Set(float64(res.SpecBatchLast))
-	}
-	// Same once-per-run cadence for the stale-batched view counters:
-	// exact-view runs report zeros and leave them untouched.
 	c.staleViewsTot.Add(float64(res.StaleViews))
 	if res.StaleWindow > 0 {
 		c.staleWindow.Set(float64(res.StaleWindow))

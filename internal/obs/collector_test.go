@@ -186,21 +186,21 @@ func TestClusterCollectorShardFamilies(t *testing.T) {
 	}
 }
 
-// ObserveResult folds per-run misprediction totals into the rollback
-// counters: synthetic results accumulate exactly, a conservative (all-zero)
-// result leaves them untouched, and a real speculative run's counters land in
-// the exposition under mwct_cluster_rollbacks_total.
+// ObserveResult folds per-run view counts into the stale-view counters:
+// synthetic results accumulate exactly, an exact-view (all-zero) result
+// leaves them untouched, and a real stale-routing run's counters land in the
+// exposition under mwct_cluster_stale_views_total.
 func TestClusterCollectorObserveResult(t *testing.T) {
 	r := NewRegistry()
 	col := NewClusterCollector(r)
-	col.ObserveResult(&engine.LoadResult{Rollbacks: 3, WastedEvents: 17})
-	col.ObserveResult(&engine.LoadResult{}) // conservative runs report zeros
-	col.ObserveResult(&engine.LoadResult{Rollbacks: 2, WastedEvents: 5})
-	if got := col.rollbacksTot.Value(); got != 5 {
-		t.Fatalf("rollbacks total = %g, want 5", got)
+	col.ObserveResult(&engine.LoadResult{StaleViews: 3, StaleWindow: 512})
+	col.ObserveResult(&engine.LoadResult{}) // exact-view runs report zeros
+	col.ObserveResult(&engine.LoadResult{StaleViews: 2, StaleWindow: 512})
+	if got := col.staleViewsTot.Value(); got != 5 {
+		t.Fatalf("stale views total = %g, want 5", got)
 	}
-	if got := col.wastedTot.Value(); got != 22 {
-		t.Fatalf("wasted-events total = %g, want 22", got)
+	if got := col.staleWindow.Value(); got != 512 {
+		t.Fatalf("stale window = %g, want 512", got)
 	}
 
 	stream, err := workload.NewStream(testConfig(40), 2000, 33)
@@ -209,14 +209,17 @@ func TestClusterCollectorObserveResult(t *testing.T) {
 	}
 	res, err := cluster.Run(cluster.Config{
 		Shards: 3, P: 8, Policy: testPolicy(t),
-		Router: cluster.NewLeastBacklog(), Workers: 3, Speculate: true,
+		Router: cluster.NewLeastBacklog(), Workers: 3, StaleRouting: true,
 	}, stream)
 	if err != nil {
 		t.Fatal(err)
 	}
 	col.ObserveResult(res)
-	if got, want := col.rollbacksTot.Value(), 5+float64(res.Rollbacks); got != want {
-		t.Fatalf("rollbacks total after speculative run = %g, want %g", got, want)
+	if res.StaleViews == 0 {
+		t.Fatal("stale-routing run published no views")
+	}
+	if got, want := col.staleViewsTot.Value(), 5+float64(res.StaleViews); got != want {
+		t.Fatalf("stale views total after stale run = %g, want %g", got, want)
 	}
 
 	var buf bytes.Buffer
@@ -227,8 +230,8 @@ func TestClusterCollectorObserveResult(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fams["mwct_cluster_rollbacks_total"] == nil || fams["mwct_cluster_wasted_events_total"] == nil {
-		t.Fatalf("rollback families missing from exposition: %v", fams)
+	if fams["mwct_cluster_stale_views_total"] == nil || fams["mwct_cluster_stale_window"] == nil {
+		t.Fatalf("stale-view families missing from exposition: %v", fams)
 	}
 }
 

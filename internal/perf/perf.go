@@ -57,21 +57,16 @@ type Scenario struct {
 	// throughput ceiling — rather than the concurrent independent-shards
 	// driver.
 	Router string `json:"router,omitempty"`
-	// Workers sets cluster.Config.Workers: 0 or 1 pins the sequential
-	// coordinator, >= 2 the parallel one (same bytes out, different wall
-	// clock). Only meaningful with a Router.
+	// Workers sets cluster.Config.Workers: pool workers for batched
+	// dispatch (a state-free Router, or Stale); other cluster scenarios run
+	// the sequential coordinator whatever the value (same bytes out either
+	// way). Only meaningful with a Router.
 	Workers int `json:"workers,omitempty"`
-	// Speculate sets cluster.Config.Speculate: the optimistic coordinator
-	// that checkpoints shards past dispatch horizons and rolls back
-	// mispredictions instead of barriering per dispatch. Same bytes out as
-	// the sequential coordinator. Only meaningful with a Router and
-	// Workers >= 2.
-	Speculate bool `json:"speculate,omitempty"`
-	// Stale sets cluster.Config.StaleRouting: the stale-batched coordinator,
-	// whose router reads fleet views published once per dispatch window. A
-	// different (deterministic) schedule than the exact-view coordinators,
-	// byte-identical at any Workers. Only meaningful with a window-stale
-	// Router (least-backlog, po2).
+	// Stale sets cluster.Config.StaleRouting: the window coordinator for a
+	// state-reading router, which reads fleet views published once per
+	// dispatch window. A different (deterministic) schedule than the
+	// exact-view coordinator, byte-identical at any Workers. Only
+	// meaningful with a window-stale Router (least-backlog, po2).
 	Stale bool `json:"stale,omitempty"`
 	// Prefetch sets cluster.Config.Prefetch: arrival generation overlaps
 	// shard execution on a producer goroutine. Pure pipelining, same bytes
@@ -223,48 +218,9 @@ func Scenarios() []Scenario {
 			Router: "round-robin", Workers: 8,
 		},
 		{
-			// The windowed parallel coordinator: least-backlog reads exact
-			// fleet state per dispatch, so shards only advance concurrently
-			// inside each dispatch window — the synchronization-bound mode.
-			// Pinned so the window overhead has a tracked number.
-			Name: "cluster-parallel-lb", Policy: "wdeq", Class: "uniform",
-			Process: "poisson", Rate: 115.2,
-			Tenants:    "t0:4:1,t1:2:1,t2:1:1,t3:1:1,t4:1:1,t5:1:1,t6:1:1,t7:1:1",
-			TenantSkew: 1.5,
-			Tasks:      16384, Shards: 8, P: 8, Seed: 411,
-			Router: "least-backlog", Workers: 8,
-		},
-		{
-			// The speculative coordinator on the same fleet and load as
-			// cluster-parallel-lb: shards run past dispatch horizons on
-			// checkpoints instead of barriering per dispatch, so the pinned gap
-			// between the two scenarios IS the win of optimism over windowing
-			// for state-reading routers (asserted >= 1x by
-			// TestSpeculativeScalingRatio in CI's multicore job).
-			Name: "cluster-spec-lb", Policy: "wdeq", Class: "uniform",
-			Process: "poisson", Rate: 115.2,
-			Tenants:    "t0:4:1,t1:2:1,t2:1:1,t3:1:1,t4:1:1,t5:1:1,t6:1:1,t7:1:1",
-			TenantSkew: 1.5,
-			Tasks:      16384, Shards: 8, P: 8, Seed: 411,
-			Router: "least-backlog", Workers: 8, Speculate: true,
-		},
-		{
-			// The scaled fleet dimension: 64 shards under the full-information
-			// least-backlog router, speculative coordinator. Every dispatch
-			// scans 64 shard states and the router's pick rolls one of them
-			// back, so this pins both the O(shards) routing envelope and the
-			// checkpoint machinery at fleet scale.
-			Name: "cluster-spec-lb-64", Policy: "wdeq", Class: "uniform",
-			Process: "poisson", Rate: 921.6,
-			Tenants:    "t0:4:1,t1:2:1,t2:1:1,t3:1:1,t4:1:1,t5:1:1,t6:1:1,t7:1:1",
-			TenantSkew: 1.5,
-			Tasks:      32768, Shards: 64, P: 8, Seed: 412,
-			Router: "least-backlog", Workers: 8, Speculate: true,
-		},
-		{
 			// The 64-shard batched baseline: round-robin is state-free, so the
-			// same fleet width runs the near-linear batched mode — the ceiling
-			// the speculative 64-shard scenario is compared against.
+			// fleet width runs the near-linear batched mode — the ceiling
+			// the stale 64-shard scenario is compared against.
 			Name: "cluster-parallel-rr-64", Policy: "wdeq", Class: "uniform",
 			Process: "poisson", Rate: 921.6,
 			Tenants:    "t0:4:1,t1:2:1,t2:1:1,t3:1:1,t4:1:1,t5:1:1,t6:1:1,t7:1:1",
@@ -273,14 +229,15 @@ func Scenarios() []Scenario {
 			Router: "round-robin", Workers: 8,
 		},
 		{
-			// The stale-batched coordinator on the same fleet and load as
-			// cluster-parallel-lb: least-backlog routes from window-boundary
-			// views instead of exact per-dispatch snapshots, so dispatch runs
-			// through the 512-arrival batched fast path with one barrier per
-			// window, and the arrival stream is prefetched on a producer
-			// goroutine. The pinned gap against cluster-parallel-lb IS the win
-			// of window-stale routing over exact windowing (asserted >= 1x by
-			// TestStaleBatchedScalingRatio in CI's multicore job).
+			// The window contract for a state-reading router on the same fleet
+			// and load as cluster-least-backlog-8: least-backlog routes from
+			// window-boundary views instead of exact per-dispatch snapshots,
+			// so dispatch runs through the 512-arrival batched fast path with
+			// one barrier per window, and the arrival stream is prefetched on
+			// a producer goroutine. The pinned gap against the sequential
+			// cluster-least-backlog-8 IS the win of window-stale routing over
+			// exact routing (asserted >= 1x by TestStaleBatchedScalingRatio in
+			// CI's multicore job).
 			Name: "cluster-stale-lb", Policy: "wdeq", Class: "uniform",
 			Process: "poisson", Rate: 115.2,
 			Tenants:    "t0:4:1,t1:2:1,t2:1:1,t3:1:1,t4:1:1,t5:1:1,t6:1:1,t7:1:1",
@@ -289,8 +246,8 @@ func Scenarios() []Scenario {
 			Router: "least-backlog", Workers: 8, Stale: true, Prefetch: true,
 		},
 		{
-			// The scaled stale fleet: 64 shards on the cluster-spec-lb-64 load,
-			// stale-batched instead of speculative. Each view is one O(shards)
+			// The scaled stale fleet: 64 shards on the cluster-parallel-rr-64
+			// load, least-backlog on window views. Each view is one O(shards)
 			// state fill per 512 dispatches rather than one scan per dispatch,
 			// so this pins how the view cadence amortizes the routing envelope
 			// at fleet width.
@@ -595,7 +552,6 @@ func runClusterScenario(s Scenario, policy engine.Policy, cfg workload.ArrivalCo
 			Policy:       policy,
 			Router:       router,
 			Workers:      s.Workers,
-			Speculate:    s.Speculate,
 			StaleRouting: s.Stale,
 			Prefetch:     s.Prefetch,
 			Opts:         opts,

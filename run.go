@@ -50,32 +50,25 @@ type RunSpec struct {
 	// from exact live backlog snapshots. Works with Arrivals or Stream.
 	Router ClusterRouter
 	// Workers >= 2 advances cluster shards concurrently on that many pool
-	// workers between routing decisions (conservative lookahead windows).
-	// Every byte of output is identical to the sequential coordinator's —
-	// the knob trades goroutines for wall-clock time only. 0 or 1 stays
-	// sequential; Workers without a Router is an error, because only the
-	// cluster coordinator has independent shards to advance.
+	// workers through each dispatch window. Workers only parallelise
+	// batched dispatch: a state-free Router (round-robin, hash-tenant)
+	// without a FleetProbe or Probe, or a StaleRouting run; every other
+	// cluster run stays on the exact sequential coordinator. Every byte of
+	// output is identical at any Workers setting — the knob trades
+	// goroutines for wall-clock time only. Workers without a Router is an
+	// error, because only the cluster coordinator has independent shards to
+	// advance.
 	Workers int
-	// Speculate switches a parallel cluster run (Workers >= 2) to the
-	// optimistic coordinator: shards advance past upcoming dispatch times on
-	// engine checkpoints and the one mispredicted shard per dispatch is
-	// rolled back, removing the per-dispatch fleet barrier of state-reading
-	// routers. Output stays byte-identical to the sequential coordinator;
-	// the result's Rollbacks/WastedEvents report the misprediction cost.
-	// Ignored without a Router or with Workers < 2; TraceDecisions falls
-	// back to the conservative modes.
-	Speculate bool
-	// StaleRouting switches a cluster run (Router set) to the stale-batched
-	// coordinator: the router observes fleet state as of the last dispatch
-	// window boundary — an epoch-published view, refreshed once per window —
-	// instead of exact dispatch-time snapshots, which removes the
+	// StaleRouting switches a cluster run (Router set) to the window
+	// dispatch contract: the router observes fleet state as of the last
+	// dispatch window boundary — an epoch-published view, refreshed once per
+	// window — instead of exact dispatch-time snapshots, which removes the
 	// per-dispatch fleet barrier entirely. Output is deterministic and
 	// byte-identical at every Workers setting, but it is a different
 	// (window-stale) schedule than the exact-view coordinator's. Requires a
 	// router with the window-stale capability (least-backlog, po2); state-
-	// free routers ignore the flag. Takes precedence over Speculate and is
-	// incompatible with Probe. The result's StaleViews/StaleWindow report
-	// the view cadence.
+	// free routers ignore the flag. Incompatible with Probe. The result's
+	// StaleViews/StaleWindow report the view cadence.
 	StaleRouting bool
 	// Prefetch overlaps arrival generation or trace decoding with cluster
 	// execution on a single producer goroutine, handing off fixed windows
@@ -203,7 +196,6 @@ func (spec RunSpec) runCluster(shards int) (*RunResult, error) {
 		Policy:               spec.Policy,
 		Router:               spec.Router,
 		Workers:              spec.Workers,
-		Speculate:            spec.Speculate,
 		StaleRouting:         spec.StaleRouting,
 		Prefetch:             spec.Prefetch,
 		Opts:                 spec.options(),

@@ -189,25 +189,16 @@ func TestRunMatchesRunClusterAndWorkersAreByteInvariant(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := mustJSON(t, old)
-	for _, tc := range []struct {
-		workers   int
-		speculate bool
-	}{
-		{0, false}, {1, false}, {4, false},
-		// The optimistic coordinator honors the same contract: rollbacks are
-		// invisible in every output byte.
-		{4, true}, {8, true},
-	} {
+	for _, workers := range []int{0, 1, 4, 8} {
 		rows := &metricRows{}
 		got, err := malleable.Run(malleable.RunSpec{
 			P: 8, Policy: policy, Stream: runStream(t, n, seed),
-			Shards: shards, Router: newRouter(), Workers: tc.workers,
-			Speculate: tc.speculate, Sink: rows,
+			Shards: shards, Router: newRouter(), Workers: workers, Sink: rows,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		label := fmt.Sprintf("Workers=%d Speculate=%v", tc.workers, tc.speculate)
+		label := fmt.Sprintf("Workers=%d", workers)
 		if have := mustJSON(t, got); have != want {
 			t.Errorf("%s: Run diverged from RunCluster:\n%s\nvs\n%s", label, have, want)
 		}
