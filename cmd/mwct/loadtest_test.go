@@ -3,7 +3,9 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -629,5 +631,85 @@ func TestServeLoadtestDefaultWorkers(t *testing.T) {
 	plain := testSpec()
 	if out := post(par, plain); out["totalTasks"] == nil {
 		t.Errorf("unrouted spec on a -workers server failed: %v", out)
+	}
+}
+
+// Speculative dispatch is gone, and so is its flag: a -speculate argument
+// must fail to parse instead of being silently ignored.
+func TestSpecFlagsRejectSpeculate(t *testing.T) {
+	fs := flag.NewFlagSet("loadtest", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	specFlags(fs, defaultLoadtestSpec())
+	err := fs.Parse([]string{"-router", "least-backlog", "-workers", "2", "-speculate"})
+	if err == nil || !strings.Contains(err.Error(), "-speculate") {
+		t.Fatalf("-speculate: err = %v, want an undefined-flag error naming it", err)
+	}
+}
+
+// A "speculate" key left in a POST /v1/loadtest body is an unknown key: the
+// server ignores it, answers exactly as it does without it, and reports no
+// misprediction fields or metrics.
+func TestServeLoadtestIgnoresSpeculateKey(t *testing.T) {
+	srv := httptest.NewServer(newServeMux(false))
+	defer srv.Close()
+	spec := testSpec()
+	spec.Router = "least-backlog"
+	spec.Workers = 2
+	post := func(extra map[string]any) []byte {
+		t.Helper()
+		raw, _ := json.Marshal(spec)
+		var fields map[string]any
+		if err := json.Unmarshal(raw, &fields); err != nil {
+			t.Fatal(err)
+		}
+		for k, v := range extra {
+			fields[k] = v
+		}
+		body, _ := json.Marshal(fields)
+		resp, err := http.Post(srv.URL+"/v1/loadtest", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		out, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("loadtest status = %d: %s", resp.StatusCode, out)
+		}
+		return out
+	}
+	plain := post(nil)
+	withKey := post(map[string]any{"speculate": true})
+	if !bytes.Equal(plain, withKey) {
+		t.Errorf("a speculate key changed the response:\n%s\nvs\n%s", withKey, plain)
+	}
+	var out map[string]any
+	if err := json.Unmarshal(withKey, &out); err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{"speculate", "rollbacks", "wastedEvents"} {
+		if _, ok := out[key]; ok {
+			t.Errorf("response still carries %q: %s", key, withKey)
+		}
+	}
+	if out["totalTasks"] != float64(400) {
+		t.Errorf("totalTasks = %v, want 400", out["totalTasks"])
+	}
+
+	mresp, err := http.Get(srv.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mresp.Body.Close()
+	text, err := io.ReadAll(mresp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"mwct_cluster_rollbacks_total", "mwct_cluster_wasted_events_total", "mwct_cluster_spec_batch"} {
+		if strings.Contains(string(text), name) {
+			t.Errorf("/metrics still exposes %s", name)
+		}
 	}
 }

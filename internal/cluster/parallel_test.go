@@ -267,11 +267,12 @@ func boundaryArrivals(n int) []engine.Arrival {
 // Window-boundary edge cases: zero-volume tasks completing exactly at the
 // lookahead horizon, simultaneous events on several shards at the same
 // instant, and equal-release runs crossing batch boundaries (n far exceeds
-// batchSize). Both parallel modes must still reproduce the sequential run
-// bit for bit.
+// batchSize). Every bundled router must still reproduce its Workers 0 run
+// bit for bit, whether the selection rule sends it to the window
+// coordinator (state-free) or keeps it on the exact one.
 func TestParallelWindowBoundaryEdgeCases(t *testing.T) {
 	const n, shards = 4 * batchSize, 3
-	for _, router := range []string{"round-robin", "least-backlog"} {
+	for _, router := range RouterNames() {
 		t.Run(router, func(t *testing.T) {
 			newRouter := func() Router {
 				r, err := RouterByName(router, 5)
@@ -371,5 +372,86 @@ func TestParallelNegativeWorkersRejected(t *testing.T) {
 	_, err := Run(Config{Shards: 2, P: 8, Policy: wdeq(t), Workers: -1}, stream)
 	if err == nil {
 		t.Fatal("Workers=-1 accepted")
+	}
+}
+
+// A 64-shard fleet, eight times the shards of the selection table, with
+// Workers both below and equal to the shard count: every bundled router
+// (and both window-stale ones under StaleRouting) must be byte-identical to
+// its Workers 0 run, whichever contract it runs under.
+func TestFleetOf64ShardsByteIdenticalAcrossWorkers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("64-shard fleet comparison is slow under -short")
+	}
+	const n, shards, seed = 8192, 64, 411
+	type tc struct {
+		router string
+		stale  bool
+	}
+	var cases []tc
+	for _, router := range RouterNames() {
+		cases = append(cases, tc{router: router})
+	}
+	cases = append(cases, tc{"least-backlog", true}, tc{"po2", true})
+	for _, c := range cases {
+		name := c.router
+		if c.stale {
+			name += "/stale"
+		}
+		t.Run(name, func(t *testing.T) {
+			capture := func(workers int) parallelCapture {
+				r, err := RouterByName(c.router, seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				s, err := workload.NewStream(skewedConfig(900), n, seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg := Config{Shards: shards, P: 8, Policy: wdeq(t), Router: r, Workers: workers, StaleRouting: c.stale}
+				return captureRun(t, cfg, s, false)
+			}
+			ref := capture(0)
+			if len(ref.dispatch) != n {
+				t.Fatalf("routed %d arrivals, want %d", len(ref.dispatch), n)
+			}
+			for _, workers := range []int{8, shards} {
+				assertCapturesEqual(t, ref, capture(workers), fmt.Sprintf("64 shards workers=%d", workers))
+			}
+		})
+	}
+}
+
+// Engine options reach every shard unchanged under both contracts: a run
+// with the decision trace on (which switches off the certified fast path)
+// or with the naive event core must be byte-identical to its Workers 0 run
+// for a state-free router (window coordinator at Workers >= 2) and a
+// state-reading one (always exact).
+func TestEngineOptionsByteIdenticalAcrossWorkers(t *testing.T) {
+	const n, shards, seed = 2000, 4, 17
+	opts := []struct {
+		name string
+		opts engine.Options
+	}{
+		{"trace", engine.Options{TraceDecisions: true}},
+		{"naive-core", engine.Options{EventCore: engine.CoreNaive}},
+	}
+	for _, o := range opts {
+		for _, router := range []string{"round-robin", "least-backlog"} {
+			t.Run(o.name+"/"+router, func(t *testing.T) {
+				capture := func(workers int) parallelCapture {
+					r, err := RouterByName(router, seed)
+					if err != nil {
+						t.Fatal(err)
+					}
+					cfg := Config{Shards: shards, P: 8, Policy: wdeq(t), Router: r, Workers: workers, Opts: o.opts}
+					return captureRun(t, cfg, sliceStream(boundaryArrivals(n)), false)
+				}
+				ref := capture(0)
+				for _, workers := range []int{2, shards} {
+					assertCapturesEqual(t, ref, capture(workers), fmt.Sprintf("%s workers=%d", o.name, workers))
+				}
+			})
+		}
 	}
 }
