@@ -77,7 +77,7 @@ func parseProfile(arg string) (*stepfunc.StepFunc, error) {
 			return nil, fmt.Errorf("speedup: platform step %q is not cap@time", step)
 		}
 		c, err := strconv.ParseFloat(capStr, 64)
-		if err != nil || c < 0 {
+		if err != nil || !(c >= 0) {
 			return nil, fmt.Errorf("speedup: platform step %q has invalid capacity", step)
 		}
 		t, err := strconv.ParseFloat(tStr, 64)

@@ -201,6 +201,7 @@ func TestParseModel(t *testing.T) {
 		"nope", "linear:1", "powerlaw:0", "powerlaw:2", "powerlaw:x",
 		"amdahl:1", "amdahl:-0.1", "platform", "platform:", "platform:8",
 		"platform:8@5,4@10", "platform:8@0,4@0", "platform:-1@0", "platform:8@-1",
+		"platform:NaN@0", "platform:8@0,nan@5",
 	} {
 		if _, err := ParseModel(bad); err == nil {
 			t.Errorf("%q accepted", bad)

@@ -30,6 +30,7 @@ const maxTraceLine = 1 << 20
 type TraceWriter struct {
 	bw    *bufio.Writer
 	count int
+	line  []byte // encoding scratch, reused across writes
 }
 
 // NewTraceWriter wraps w in a buffered JSONL arrival encoder.
@@ -44,11 +45,16 @@ func (t *TraceWriter) Write(a schedule.Arrival) error {
 	if err := a.Validate(); err != nil {
 		return fmt.Errorf("workload: trace arrival %d: %w", t.count, err)
 	}
-	buf, err := json.Marshal(a)
-	if err != nil {
-		return fmt.Errorf("workload: trace arrival %d: %w", t.count, err)
+	line, ok := appendArrival(t.line[:0], a)
+	if ok {
+		t.line = line
+	} else {
+		var err error
+		if line, err = json.Marshal(a); err != nil {
+			return fmt.Errorf("workload: trace arrival %d: %w", t.count, err)
+		}
 	}
-	if _, err := t.bw.Write(buf); err != nil {
+	if _, err := t.bw.Write(line); err != nil {
 		return err
 	}
 	if err := t.bw.WriteByte('\n'); err != nil {
@@ -70,8 +76,9 @@ func (t *TraceWriter) Flush() error { return t.bw.Flush() }
 // the release-order invariant at its boundary, so a hand-edited or corrupted
 // trace fails the run with a line-numbered error instead of poisoning it.
 type TraceReader struct {
-	sc   *bufio.Scanner
-	line int
+	sc    *bufio.Scanner
+	line  int
+	names nameTable
 }
 
 // NewTraceReader wraps r in a JSONL arrival decoder. Blank lines are
@@ -79,10 +86,12 @@ type TraceReader struct {
 func NewTraceReader(r io.Reader) *TraceReader {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), maxTraceLine)
-	return &TraceReader{sc: sc}
+	return &TraceReader{sc: sc, names: make(nameTable)}
 }
 
-// Next decodes the next arrival; ok=false reports a clean end of trace.
+// Next decodes the next arrival; ok=false reports a clean end of trace. A
+// line outside the fast grammar (see decodeArrival) is decoded by
+// encoding/json instead, so its result and error are json.Unmarshal's.
 func (t *TraceReader) Next() (schedule.Arrival, bool, error) {
 	for t.sc.Scan() {
 		t.line++
@@ -90,8 +99,8 @@ func (t *TraceReader) Next() (schedule.Arrival, bool, error) {
 		if len(raw) == 0 {
 			continue
 		}
-		var a schedule.Arrival
-		if err := json.Unmarshal(raw, &a); err != nil {
+		a, err := decodeLine(raw, t.names)
+		if err != nil {
 			return schedule.Arrival{}, false, fmt.Errorf("workload: trace line %d: %w", t.line, err)
 		}
 		return a, true, nil
@@ -100,6 +109,17 @@ func (t *TraceReader) Next() (schedule.Arrival, bool, error) {
 		return schedule.Arrival{}, false, fmt.Errorf("workload: trace line %d: %w", t.line+1, err)
 	}
 	return schedule.Arrival{}, false, nil
+}
+
+// decodeLine decodes one trimmed, non-blank trace line: by the fast scanner
+// when the line is inside its grammar, otherwise by encoding/json.
+func decodeLine(raw []byte, names nameTable) (schedule.Arrival, error) {
+	if a, ok := decodeArrival(raw, names); ok {
+		return a, nil
+	}
+	var a schedule.Arrival
+	err := json.Unmarshal(raw, &a)
+	return a, err
 }
 
 // WriteTrace records a whole arrival slice as JSONL — the convenience form

@@ -1,9 +1,13 @@
 package workload
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
+	"math"
 	"strings"
 	"testing"
 	"testing/iotest"
@@ -152,3 +156,217 @@ func TestTraceReaderCorruptInput(t *testing.T) {
 }
 
 var errBoom = errors.New("boom")
+
+// taskArrival is the arrival {"task":{"weight":w,"volume":v,"delta":d},"release":r}.
+func taskArrival(w, v, d, r float64) schedule.Arrival {
+	return schedule.Arrival{Task: schedule.Task{Weight: w, Volume: v, Delta: d}, Release: r}
+}
+
+// traceBoundaryCases are the extreme-value and off-grammar lines of the trace
+// decoder, run by TestTraceBoundaryCases and checked in, one file per case,
+// as the seeds of FuzzTraceDecodeEquivalence under testdata/fuzz. fast marks the lines inside the
+// fast scanner's grammar; every other line is decoded by encoding/json, so
+// want and err are what encoding/json makes of it.
+var traceBoundaryCases = []struct {
+	name string
+	line string
+	fast bool
+	want schedule.Arrival
+	err  string // substring of the error; "" when the line decodes
+}{
+	{name: "bare NaN", line: `{"task":{"weight":NaN,"volume":2,"delta":1},"release":0.5}`,
+		err: "invalid character 'N' looking for beginning of value"},
+	{name: "bare Infinity", line: `{"task":{"weight":1,"volume":Infinity,"delta":1},"release":0.5}`,
+		err: "invalid character 'I' looking for beginning of value"},
+	{name: "bare -Infinity", line: `{"task":{"weight":1,"volume":2,"delta":1},"release":-Infinity}`,
+		err: "invalid character 'I' in numeric literal"},
+	{name: "smallest subnormal", line: `{"task":{"weight":5e-324,"volume":2,"delta":1},"release":0.5}`,
+		fast: true, want: taskArrival(math.SmallestNonzeroFloat64, 2, 1, 0.5)},
+	{name: "largest subnormal", line: `{"task":{"weight":1,"volume":2.225073858507201e-308,"delta":1},"release":0.5}`,
+		fast: true, want: taskArrival(1, 2.225073858507201e-308, 1, 0.5)},
+	{name: "underflow to zero", line: `{"task":{"weight":1,"volume":1e-400,"delta":1},"release":0.5}`,
+		fast: true, want: taskArrival(1, 0, 1, 0.5)},
+	{name: "1e308", line: `{"task":{"weight":1,"volume":2,"delta":1e308},"release":0.5}`,
+		fast: true, want: taskArrival(1, 2, 1e308, 0.5)},
+	{name: "1e309 overflows", line: `{"task":{"weight":1,"volume":2,"delta":1e309},"release":0.5}`,
+		err: "cannot unmarshal number 1e309"},
+	{name: "negative zero", line: `{"task":{"weight":1,"volume":-0,"delta":1},"release":-0.0}`,
+		fast: true, want: taskArrival(1, math.Copysign(0, -1), 1, math.Copysign(0, -1))},
+	{name: "upper-case exponent", line: `{"task":{"weight":1E+2,"volume":2E-1,"delta":1e0},"release":0.5}`,
+		fast: true, want: taskArrival(100, 0.2, 1, 0.5)},
+	{name: "leading zero", line: `{"task":{"weight":01,"volume":2,"delta":1},"release":0.5}`,
+		err: "invalid character '1' after object key:value pair"},
+	{name: "trailing dot", line: `{"task":{"weight":1.,"volume":2,"delta":1},"release":0.5}`,
+		err: "invalid character ',' after decimal point in numeric literal"},
+	{name: "leading dot", line: `{"task":{"weight":.5,"volume":2,"delta":1},"release":0.5}`,
+		err: "invalid character '.' looking for beginning of value"},
+	{name: "plus sign", line: `{"task":{"weight":+1,"volume":2,"delta":1},"release":0.5}`,
+		err: "invalid character '+' looking for beginning of value"},
+	{name: "hex float", line: `{"task":{"weight":0x1p3,"volume":2,"delta":1},"release":0.5}`,
+		err: "invalid character 'x' after object key:value pair"},
+	{name: "digit separator", line: `{"task":{"weight":1_0,"volume":2,"delta":1},"release":0.5}`,
+		err: "invalid character '_' after object key:value pair"},
+	{name: "key in another case", line: `{"task":{"Weight":3,"volume":2,"delta":1},"release":0.5}`,
+		want: taskArrival(3, 2, 1, 0.5)},
+	{name: "duplicate key", line: `{"task":{"weight":1,"volume":2,"delta":1,"weight":3},"release":0.5}`,
+		want: taskArrival(3, 2, 1, 0.5)},
+	{name: "null value", line: `{"task":{"weight":1,"volume":null,"delta":1},"release":0.5}`,
+		want: taskArrival(1, 0, 1, 0.5)},
+	{name: "null task", line: `{"task":null,"release":0.5}`, want: taskArrival(0, 0, 0, 0.5)},
+	{name: "null line", line: `null`},
+	{name: "unknown nested key", line: `{"task":{"weight":1,"volume":2,"delta":1,"extra":{"a":[1,{"b":null}]}},"release":0.5}`,
+		want: taskArrival(1, 2, 1, 0.5)},
+	{name: "escaped name", line: `{"task":{"name":"t\u0030","weight":1,"volume":2,"delta":1},"release":0.5}`,
+		want: schedule.Arrival{Task: schedule.Task{Name: "t0", Weight: 1, Volume: 2, Delta: 1}, Release: 0.5}},
+	{name: "non-ASCII name", line: `{"task":{"name":"té","weight":1,"volume":2,"delta":1},"release":0.5}`,
+		want: schedule.Arrival{Task: schedule.Task{Name: "té", Weight: 1, Volume: 2, Delta: 1}, Release: 0.5}},
+	{name: "invalid UTF-8 name", line: "{\"task\":{\"name\":\"t\xff\",\"weight\":1,\"volume\":2,\"delta\":1},\"release\":0.5}",
+		want: schedule.Arrival{Task: schedule.Task{Name: "t\ufffd", Weight: 1, Volume: 2, Delta: 1}, Release: 0.5}},
+	{name: "control byte in name", line: "{\"task\":{\"name\":\"t\x01\",\"weight\":1,\"volume\":2,\"delta\":1},\"release\":0.5}",
+		err: "invalid character '\\x01' in string literal"},
+	{name: "plain name and tenant", line: `{"task":{"name":"t3","weight":1,"volume":2,"delta":1,"due":4,"curve":0.5},"release":0.5,"tenant":3}`,
+		fast: true, want: schedule.Arrival{Task: schedule.Task{Name: "t3", Weight: 1, Volume: 2, Delta: 1, Due: 4, Curve: 0.5}, Release: 0.5, Tenant: 3}},
+	{name: "any order and whitespace", line: "{ \"tenant\" :\t-0 ,\"release\":0.5,\r\"task\":{\"delta\":1 ,\"volume\":2,\"weight\":1 } }",
+		fast: true, want: taskArrival(1, 2, 1, 0.5)},
+	{name: "empty object", line: `{}`, fast: true},
+	{name: "fractional tenant", line: `{"task":{"weight":1,"volume":2,"delta":1},"release":0.5,"tenant":1.5}`,
+		err: "cannot unmarshal number 1.5"},
+	{name: "tenant overflow", line: `{"task":{"weight":1,"volume":2,"delta":1},"release":0.5,"tenant":9223372036854775808}`,
+		err: "cannot unmarshal number 9223372036854775808"},
+	{name: "array line", line: `[1,2]`, err: "cannot unmarshal array"},
+	{name: "trailing garbage", line: `{"task":{"weight":1,"volume":2,"delta":1},"release":0.5} x`,
+		err: "invalid character 'x' after top-level value"},
+	{name: "torn last line", line: `{"task":{"weight":1,"vol`, err: "unexpected end of JSON input"},
+}
+
+// referenceReadTrace is the reader as it was before the fast scanner: every
+// line through json.Unmarshal. It defines the results and error texts the
+// fast path must keep.
+func referenceReadTrace(r io.Reader) ([]schedule.Arrival, error) {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 64*1024), maxTraceLine)
+	var out []schedule.Arrival
+	for line := 1; sc.Scan(); line++ {
+		raw := bytes.TrimSpace(sc.Bytes())
+		if len(raw) == 0 {
+			continue
+		}
+		var a schedule.Arrival
+		if err := json.Unmarshal(raw, &a); err != nil {
+			return nil, fmt.Errorf("workload: trace line %d: %w", line, err)
+		}
+		out = append(out, a)
+	}
+	return out, sc.Err()
+}
+
+// Every boundary case, placed after a good line with no newline after it (so
+// the torn case is a torn tail), must read as the json-only reader reads it:
+// the same arrivals bit for bit, or the same line-2 error text.
+func TestTraceBoundaryCases(t *testing.T) {
+	const good = `{"task":{"name":"t0","weight":1,"volume":2,"delta":1},"release":0.25}`
+	for _, c := range traceBoundaryCases {
+		t.Run(c.name, func(t *testing.T) {
+			if _, ok := decodeArrival([]byte(c.line), make(nameTable)); ok != c.fast {
+				t.Errorf("fast scanner accepted=%v, want %v", ok, c.fast)
+			}
+			src := good + "\n" + c.line
+			got, err := ReadTrace(strings.NewReader(src))
+			want, wantErr := referenceReadTrace(strings.NewReader(src))
+			if c.err != "" {
+				if err == nil {
+					t.Fatalf("decoded %+v, want an error containing %q", got, c.err)
+				}
+				if wantErr == nil || err.Error() != wantErr.Error() {
+					t.Fatalf("error %q, json-only reader: %v", err, wantErr)
+				}
+				if !strings.HasPrefix(err.Error(), "workload: trace line 2: ") || !strings.Contains(err.Error(), c.err) {
+					t.Fatalf("error %q does not name line 2 and %q", err, c.err)
+				}
+				return
+			}
+			if err != nil || wantErr != nil {
+				t.Fatalf("error %v, json-only reader error %v", err, wantErr)
+			}
+			if len(got) != 2 || len(want) != 2 {
+				t.Fatalf("read %d arrivals, json-only reader %d, want 2", len(got), len(want))
+			}
+			if !sameArrivalBits(got[1], c.want) || !sameArrivalBits(want[1], c.want) {
+				t.Fatalf("decoded %+v, json-only reader %+v, want %+v", got[1], want[1], c.want)
+			}
+		})
+	}
+}
+
+// replayTrace encodes n arrivals shaped like the benchmark's replay: the
+// uniform class at load 0.9 on P=8, eight named tenants at skew 1.5.
+func replayTrace(tb testing.TB, n int) []byte {
+	tb.Helper()
+	tenants, err := ParseTenants("t0:4:1,t1:2:1,t2:1:1,t3:1:1,t4:1:1,t5:1:1,t6:1:1,t7:1:1")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	cfg := ArrivalConfig{Class: Uniform, P: 8, Process: Poisson, Rate: 14.4, Tenants: tenants, TenantSkew: 1.5}
+	arrivals, err := GenerateArrivals(cfg, n, 1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := WriteTrace(&buf, arrivals); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// A warmed reader over a replay-shaped trace decodes without allocating:
+// names come from the reader's intern table and numbers are parsed in place.
+func TestTraceReaderZeroAllocsPerArrival(t *testing.T) {
+	tr := NewTraceReader(bytes.NewReader(replayTrace(t, 2048)))
+	next := func() {
+		if _, ok, err := tr.Next(); !ok || err != nil {
+			t.Fatalf("trace ended early: ok=%v err=%v", ok, err)
+		}
+	}
+	for i := 0; i < 256; i++ {
+		next()
+	}
+	if allocs := testing.AllocsPerRun(1000, next); allocs != 0 {
+		t.Errorf("TraceReader.Next allocated %.3g times per arrival, want 0", allocs)
+	}
+}
+
+// A trace naming every task differently fills the reader's name table to
+// its bound and no further, and still decodes every name.
+func TestTraceReaderNameTableBounded(t *testing.T) {
+	var src strings.Builder
+	for i := 0; i < 3*maxInternedNames; i++ {
+		fmt.Fprintf(&src, `{"task":{"name":"n%d","weight":1,"volume":1,"delta":1},"release":0}`+"\n", i)
+	}
+	tr := NewTraceReader(strings.NewReader(src.String()))
+	for i := 0; i < 3*maxInternedNames; i++ {
+		a, ok, err := tr.Next()
+		if !ok || err != nil || a.Task.Name != fmt.Sprintf("n%d", i) {
+			t.Fatalf("line %d: %+v ok=%v err=%v", i+1, a, ok, err)
+		}
+	}
+	if len(tr.names) != maxInternedNames {
+		t.Errorf("name table holds %d names, want the bound %d", len(tr.names), maxInternedNames)
+	}
+}
+
+func BenchmarkTraceReaderNext(b *testing.B) {
+	trace := replayTrace(b, 32768)
+	b.SetBytes(int64(len(trace) / 32768))
+	b.ReportAllocs()
+	tr := NewTraceReader(bytes.NewReader(trace))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, ok, err := tr.Next()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !ok {
+			tr = NewTraceReader(bytes.NewReader(trace))
+		}
+	}
+}
