@@ -12,6 +12,7 @@ import (
 
 	malleable "github.com/malleable-sched/malleable"
 	"github.com/malleable-sched/malleable/internal/core"
+	"github.com/malleable-sched/malleable/internal/engine"
 	"github.com/malleable-sched/malleable/internal/exact"
 	"github.com/malleable-sched/malleable/internal/experiments"
 	"github.com/malleable-sched/malleable/internal/lp"
@@ -455,7 +456,7 @@ func BenchmarkEngineWDEQPoisson(b *testing.B) {
 		}
 		b.Run(sizeName(n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := malleable.RunOnline(8, policy, arrivals); err != nil {
+				if err := malleable.NewOnlineRunner().RunInto(&malleable.OnlineResult{}, 8, policy, arrivals, malleable.OnlineOptions{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -474,7 +475,7 @@ func BenchmarkEnginePolicies(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := malleable.RunOnline(8, policy, arrivals); err != nil {
+				if err := malleable.NewOnlineRunner().RunInto(&malleable.OnlineResult{}, 8, policy, arrivals, malleable.OnlineOptions{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -495,7 +496,7 @@ func BenchmarkEngineSharded(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := malleable.RunOnlineShards(8, policy, source, 4, 7); err != nil {
+		if _, err := engine.RunShardsWithOptions(8, policy, source, 4, 7, engine.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}

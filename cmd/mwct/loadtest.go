@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"time"
 
+	malleable "github.com/malleable-sched/malleable"
 	"github.com/malleable-sched/malleable/internal/cluster"
 	"github.com/malleable-sched/malleable/internal/engine"
 	"github.com/malleable-sched/malleable/internal/obs"
@@ -88,9 +89,9 @@ type loadtestSpec struct {
 }
 
 // parse resolves and validates every named component of the spec.
-func (spec loadtestSpec) parse() (engine.Policy, workload.ArrivalConfig, []workload.TenantSpec, engine.Options, error) {
-	fail := func(err error) (engine.Policy, workload.ArrivalConfig, []workload.TenantSpec, engine.Options, error) {
-		return nil, workload.ArrivalConfig{}, nil, engine.Options{}, err
+func (spec loadtestSpec) parse() (engine.Policy, workload.ArrivalConfig, []workload.TenantSpec, speedup.Model, error) {
+	fail := func(err error) (engine.Policy, workload.ArrivalConfig, []workload.TenantSpec, speedup.Model, error) {
+		return nil, workload.ArrivalConfig{}, nil, nil, err
 	}
 	policy, err := engine.PolicyByName(spec.Policy)
 	if err != nil {
@@ -129,7 +130,7 @@ func (spec loadtestSpec) parse() (engine.Policy, workload.ArrivalConfig, []workl
 	if err := cfg.Validate(); err != nil {
 		return fail(err)
 	}
-	return policy, cfg, tenants, engine.Options{Model: model}, nil
+	return policy, cfg, tenants, model, nil
 }
 
 // loadtestObservers carries the optional observability attachments of a
@@ -186,74 +187,9 @@ func runLoadtestSpecWrapped(spec loadtestSpec, wrap func(shard int, s engine.Arr
 	if spec.Prefetch && spec.Router == "" {
 		return nil, nil, fmt.Errorf("loadtest: -prefetch pipelines the cluster coordinator's arrival stream and needs -router")
 	}
-	policy, cfg, tenants, opts, err := spec.parse()
+	policy, cfg, tenants, model, err := spec.parse()
 	if err != nil {
 		return nil, nil, err
-	}
-	if spec.Router != "" {
-		// Cluster mode: one global stream, dispatched across the fleet by
-		// the router. The coordinator is inherently streaming, so the wrap
-		// hook (trace recording) applies to the single global stream.
-		router, err := cluster.RouterByName(spec.Router, spec.Seed)
-		if err != nil {
-			return nil, nil, err
-		}
-		stream, err := workload.NewStream(cfg, spec.Tasks, spec.Seed)
-		if err != nil {
-			return nil, nil, err
-		}
-		var global engine.ArrivalStream = stream
-		if wrap != nil {
-			global = wrap(0, global)
-		}
-		res, err := cluster.Run(cluster.Config{
-			Shards:       spec.Shards,
-			P:            spec.P,
-			Policy:       policy,
-			Router:       router,
-			Workers:      spec.Workers,
-			StaleRouting: spec.Stale,
-			Prefetch:     spec.Prefetch,
-			Opts:         opts,
-			Sink:         obsv.sink,
-			Probe:        obsv.fleetProbe,
-		}, global)
-		if err != nil {
-			return nil, nil, err
-		}
-		return res, tenants, nil
-	}
-	if obsv.observed() {
-		// Observed single-engine path: the same seed derivation, sinks and
-		// merge as RunShardsStream with one shard, plus the probe and the
-		// extra sink. Multi-shard independent streams have no single
-		// observable timeline, so the flag layer rejects them before here.
-		if !spec.Stream || spec.Shards != 1 {
-			return nil, nil, fmt.Errorf("loadtest: observers need -stream with one shard, or a -router cluster")
-		}
-		seed := engine.ShardSeed(spec.Seed, 0)
-		stream, err := workload.NewStream(cfg, spec.Tasks, seed)
-		if err != nil {
-			return nil, nil, err
-		}
-		var arrivals engine.ArrivalStream = stream
-		if wrap != nil {
-			arrivals = wrap(0, arrivals)
-		}
-		agg := engine.NewAggregateSink()
-		sk := engine.NewSketchSink(0)
-		opts.Probe = obsv.probe
-		opts.ProbeInterval = obsv.probeInterval
-		res, err := engine.RunStreamWithOptions(spec.P, policy, arrivals, engine.MultiSink(agg, sk, obsv.sink), opts)
-		if err != nil {
-			return nil, nil, err
-		}
-		runs := []engine.ShardRun{{Shard: 0, Seed: seed, Result: res}}
-		merged, err := engine.MergeShards(spec.P, policy.Name(), runs, []*engine.AggregateSink{agg}, []*engine.SketchSink{sk})
-		if err != nil {
-			return nil, nil, err
-		}
-		return merged, tenants, nil
 	}
 	// Spread the task budget over the shards; the first Tasks%Shards shards
 	// absorb the remainder.
@@ -264,29 +200,77 @@ func runLoadtestSpecWrapped(spec loadtestSpec, wrap func(shard int, s engine.Arr
 		}
 		return n
 	}
-	var res *engine.LoadResult
-	if spec.Stream {
-		source := func(shard int, seed int64) (engine.ArrivalStream, error) {
-			stream, err := workload.NewStream(cfg, perShard(shard), seed)
-			if err != nil {
-				return nil, err
-			}
-			if wrap != nil {
-				return wrap(shard, stream), nil
-			}
-			return stream, nil
+	// stream draws n generated arrivals from seed, through the wrap hook.
+	stream := func(shard, n int, seed int64) (engine.ArrivalStream, error) {
+		s, err := workload.NewStream(cfg, n, seed)
+		if err != nil {
+			return nil, err
 		}
-		res, err = engine.RunShardsStreamWithOptions(spec.P, policy, source, spec.Shards, spec.Seed, opts)
-	} else {
+		if wrap != nil {
+			return wrap(shard, s), nil
+		}
+		return s, nil
+	}
+	if spec.Router == "" && !spec.Stream && !obsv.observed() {
+		// Exact per-shard retention, the one topology RunSpec has no form
+		// for: every shard materializes its workload and keeps its rows.
 		source := func(shard int, seed int64) ([]engine.Arrival, error) {
 			return workload.GenerateArrivals(cfg, perShard(shard), seed)
 		}
-		res, err = engine.RunShardsWithOptions(spec.P, policy, source, spec.Shards, spec.Seed, opts)
+		res, err := engine.RunShardsWithOptions(spec.P, policy, source, spec.Shards, spec.Seed, engine.Options{Model: model})
+		return res, tenants, err
+	}
+	var global engine.ArrivalStream
+	var source func(shard int, seed int64) (engine.ArrivalStream, error)
+	switch {
+	case spec.Router != "":
+		// Cluster mode: one global stream, dispatched across the fleet by
+		// the router. The wrap hook (trace recording) applies to that stream.
+		global, err = stream(0, spec.Tasks, spec.Seed)
+	case obsv.observed():
+		// Observed single engine: the seed a one-shard independent-streams
+		// run would draw with, plus the probe and the extra sink. Multi-shard
+		// independent streams have no single observable timeline, so the
+		// flag layer rejects them before here.
+		if !spec.Stream || spec.Shards != 1 {
+			return nil, nil, fmt.Errorf("loadtest: observers need -stream with one shard, or a -router cluster")
+		}
+		spec.Seed = engine.ShardSeed(spec.Seed, 0)
+		global, err = stream(0, spec.Tasks, spec.Seed)
+	default:
+		source = func(shard int, seed int64) (engine.ArrivalStream, error) {
+			return stream(shard, perShard(shard), seed)
+		}
 	}
 	if err != nil {
 		return nil, nil, err
 	}
-	return res, tenants, nil
+	res, err := spec.runOnline(policy, model, global, source, obsv)
+	return res, tenants, err
+}
+
+// runOnline makes the topology decision of every streamed load test and
+// runs it through malleable.Run: with a router the global stream is
+// dispatched across the fleet, a source runs independent shards, and
+// otherwise the global stream drives one engine, the only topology the
+// engine probe observes.
+func (spec loadtestSpec) runOnline(policy engine.Policy, model speedup.Model, global engine.ArrivalStream,
+	source func(shard int, seed int64) (engine.ArrivalStream, error), obsv loadtestObservers) (*engine.LoadResult, error) {
+	run := malleable.RunSpec{P: spec.P, Policy: policy, Stream: global, Source: source, Seed: spec.Seed, Model: model,
+		Workers: spec.Workers, StaleRouting: spec.Stale, Prefetch: spec.Prefetch, Sink: obsv.sink}
+	switch {
+	case spec.Router != "":
+		router, err := cluster.RouterByName(spec.Router, spec.Seed)
+		if err != nil {
+			return nil, err
+		}
+		run.Router, run.Shards, run.FleetProbe = router, spec.Shards, obsv.fleetProbe
+	case source != nil:
+		run.Shards = spec.Shards
+	default:
+		run.Probe, run.ProbeInterval = obsv.probe, obsv.probeInterval
+	}
+	return malleable.Run(run)
 }
 
 // loadtestReport runs the spec and renders the deterministic text report:
@@ -350,7 +334,13 @@ func renderLoadBody(w io.Writer, res *engine.LoadResult, tenants []workload.Tena
 	} else {
 		fmt.Fprintf(w, "flow: %s\n", res.Flow)
 	}
-	for _, tm := range res.PerTenant {
+	renderTenants(w, res.PerTenant, tenants)
+}
+
+// renderTenants prints one row per tenant. A nil tenants list falls back to
+// tenant-N names.
+func renderTenants(w io.Writer, perTenant []engine.TenantMetrics, tenants []workload.TenantSpec) {
+	for _, tm := range perTenant {
 		name := fmt.Sprintf("tenant-%d", tm.Tenant)
 		if tm.Tenant < len(tenants) {
 			name = tenants[tm.Tenant].Name
@@ -376,54 +366,39 @@ func traceReplayReport(w io.Writer, spec loadtestSpec, trace io.Reader) (int, er
 	if err != nil {
 		return 0, err
 	}
-	if spec.Shards > 1 || spec.Router != "" {
-		routerName := spec.Router
-		if routerName == "" {
-			routerName = "round-robin"
-		}
-		router, err := cluster.RouterByName(routerName, spec.Seed)
-		if err != nil {
-			return 0, err
-		}
-		res, err := cluster.Run(cluster.Config{
-			Shards: spec.Shards,
-			P:      spec.P,
-			Policy: policy,
-			Router: router,
-			Opts:   engine.Options{Model: model},
-		}, workload.NewTraceReader(trace))
-		if err != nil {
-			return 0, err
-		}
-		modelName := spec.Speedup
-		if modelName == "" {
-			modelName = "linear"
-		}
-		fmt.Fprintf(w, "loadtest: policy=%s trace-replay tasks=%d shards=%d p=%g seed=%d speedup=%s stream=true router=%s\n",
-			res.Policy, res.TotalTasks, spec.Shards, spec.P, spec.Seed, modelName, routerName)
-		renderLoadBody(w, res, nil)
-		return res.TotalTasks, nil
-	}
-	agg := engine.NewAggregateSink()
-	sk := engine.NewSketchSink(0)
-	res, err := engine.RunStreamWithOptions(spec.P, policy, workload.NewTraceReader(trace), engine.MultiSink(agg, sk), engine.Options{Model: model})
-	if err != nil {
-		return 0, err
-	}
 	modelName := spec.Speedup
 	if modelName == "" {
 		modelName = "linear"
 	}
-	fmt.Fprintf(w, "loadtest: policy=%s trace-replay tasks=%d p=%g speedup=%s stream=true\n",
-		res.Policy, res.Completed, spec.P, modelName)
-	fmt.Fprintf(w, "aggregate: tasks=%d events=%d max-alive=%d makespan=%.6g weighted-flow=%.6g mean-flow=%.6g throughput=%.6g\n",
-		res.Completed, res.Events, res.MaxAlive, res.Makespan, res.WeightedFlow, res.MeanFlow(), res.Throughput())
-	fmt.Fprintf(w, "flow: %s (quantiles from sketch)\n", engine.FlowSummary(agg, sk))
-	for _, tm := range agg.PerTenant() {
-		fmt.Fprintf(w, "tenant tenant-%d: tasks=%d mean-flow=%.6g std-flow=%.3g max-flow=%.6g weighted-flow=%.6g\n",
-			tm.Tenant, tm.Tasks, tm.MeanFlow, tm.StdFlow, tm.MaxFlow, tm.WeightedFlow)
+	// A replay runs the exact coordinator whatever the cluster knobs of a
+	// generated run say.
+	spec.Workers, spec.Stale, spec.Prefetch = 0, false, false
+	if spec.Shards > 1 || spec.Router != "" {
+		if spec.Shards <= 0 {
+			return 0, fmt.Errorf("loadtest: need a positive shard count, got %d", spec.Shards)
+		}
+		if spec.Router == "" {
+			spec.Router = "round-robin"
+		}
 	}
-	return res.Completed, nil
+	res, err := spec.runOnline(policy, model, workload.NewTraceReader(trace), nil, loadtestObservers{})
+	if err != nil {
+		return 0, err
+	}
+	if spec.Router != "" {
+		fmt.Fprintf(w, "loadtest: policy=%s trace-replay tasks=%d shards=%d p=%g seed=%d speedup=%s stream=true router=%s\n",
+			res.Policy, res.TotalTasks, spec.Shards, spec.P, spec.Seed, modelName, spec.Router)
+		renderLoadBody(w, res, nil)
+		return res.TotalTasks, nil
+	}
+	r := res.Shards[0].Result
+	fmt.Fprintf(w, "loadtest: policy=%s trace-replay tasks=%d p=%g speedup=%s stream=true\n",
+		res.Policy, r.Completed, spec.P, modelName)
+	fmt.Fprintf(w, "aggregate: tasks=%d events=%d max-alive=%d makespan=%.6g weighted-flow=%.6g mean-flow=%.6g throughput=%.6g\n",
+		r.Completed, r.Events, r.MaxAlive, r.Makespan, r.WeightedFlow, r.MeanFlow(), r.Throughput())
+	fmt.Fprintf(w, "flow: %s (quantiles from sketch)\n", res.Flow)
+	renderTenants(w, res.PerTenant, nil)
+	return r.Completed, nil
 }
 
 // teeStream forwards a stream while recording every arrival to a trace

@@ -6,8 +6,10 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/malleable-sched/malleable/internal/obs"
 )
@@ -191,4 +193,65 @@ func TestServeMetricsConcurrent(t *testing.T) {
 	if got := fams["mwct_loadtest_runs_total"].Samples[0].Value; got != loadtests {
 		t.Fatalf("prometheus runs counter = %g, want %d", got, loadtests)
 	}
+}
+
+// settleGoroutines polls runtime.NumGoroutine until it drops to want or a
+// bounded retry budget (about two seconds) runs out, and returns the last
+// count. Goroutines that were told to stop may need a few scheduler turns to
+// return, so a single read right after a run would flake.
+func settleGoroutines(want int) int {
+	n := runtime.NumGoroutine()
+	for i := 0; i < 400 && n > want; i++ {
+		time.Sleep(5 * time.Millisecond)
+		n = runtime.NumGoroutine()
+	}
+	return n
+}
+
+// FuzzServeLoadtestSpec posts arbitrary bodies to POST /v1/loadtest: the
+// handler must answer 200, 400 or 422 with a valid JSON body, never panic,
+// and leave no goroutine behind. Bodies that decode to more than 512 tasks
+// or 8 shards are skipped so every run stays small; fields a body omits fall
+// back to the handler's defaults (1000 tasks over 4 shards), which are small
+// too. The seeds are the two serve-mix bodies of the benchmark at the fuzz
+// size limit, the empty spec, and hostile values.
+func FuzzServeLoadtestSpec(f *testing.F) {
+	const t8 = "t0:4:1,t1:2:1,t2:1:1,t3:1:1,t4:1:1,t5:1:1,t6:1:1,t7:1:1"
+	for _, body := range []string{
+		`{"policy":"wdeq","class":"uniform","process":"poisson","rate":115.2,"tasks":512,"shards":8,"p":8,"seed":3,"tenants":"` + t8 + `","tenantSkew":1.5,"router":"least-backlog","stream":true}`,
+		`{"policy":"wdeq","class":"uniform","process":"poisson","rate":8,"tasks":512,"shards":4,"p":8,"seed":5,"tenants":"` + t8 + `","tenantSkew":1.5,"speedup":"powerlaw:0.75","curveMin":0.6,"curveMax":0.95,"stream":true}`,
+		`{}`,
+		`{"rate":NaN}`,
+		`{"rate":-1,"tasks":64}`,
+		`{"rate":1e308,"tasks":64}`,
+		`{"p":-8,"tasks":64}`,
+		`{"p":1e308,"tasks":64}`,
+		`{"tasks":64,"speedup":"platform:nan@0"}`,
+		`{"tasks":64,"workers":2}`,
+		`{"tasks":64,"router":"round-robin","stale":true}`,
+		`{"tasks":64,"stream":true,"speedup":"powerlaw:0.75","curveMin":0.95,"curveMax":0.6}`,
+	} {
+		f.Add([]byte(body))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var spec loadtestSpec
+		if json.Unmarshal(body, &spec) == nil && (spec.Tasks > 512 || spec.Shards > 8) {
+			t.Skip()
+		}
+		before := runtime.NumGoroutine()
+		rec := httptest.NewRecorder()
+		req := httptest.NewRequest("POST", "/v1/loadtest", bytes.NewReader(body))
+		handleLoadtest(rec, req, newServeMetrics(), 0)
+		switch rec.Code {
+		case http.StatusOK, http.StatusBadRequest, http.StatusUnprocessableEntity:
+		default:
+			t.Fatalf("status %d for body %q: %s", rec.Code, body, rec.Body.Bytes())
+		}
+		if !json.Valid(rec.Body.Bytes()) {
+			t.Fatalf("status %d for body %q: invalid JSON %q", rec.Code, body, rec.Body.Bytes())
+		}
+		if after := settleGoroutines(before); after > before {
+			t.Fatalf("goroutines: %d before the request, %d after it", before, after)
+		}
+	})
 }

@@ -72,33 +72,15 @@
 //     (`mwct loadtest -timeline out.jsonl`) that ReadRunTimeline loads back —
 //     all of it allocation-free in steady state.
 //
-// # Migrating from the Run* function family
+// # One run entry point
 //
-// The nine Run* variants that accreted around the kernel (RunOnline,
-// RunOnlineStream, RunCluster, their *Shards* and *WithOptions forms) are
-// deprecated thin wrappers over Run; each one is a RunSpec spelling:
-//
-//	RunOnline(p, pol, arrs)                          Run(RunSpec{P: p, Policy: pol, Arrivals: arrs})
-//	RunOnlineWithOptions(p, pol, arrs, o)            Run(RunSpec{P: p, Policy: pol, Arrivals: arrs, Model: o.Model, ...})
-//	RunOnlineStream(p, pol, st, sink)                Run(RunSpec{P: p, Policy: pol, Stream: st, Sink: sink})
-//	RunOnlineStreamWithOptions(p, pol, st, sink, o)  Run(RunSpec{P: p, Policy: pol, Stream: st, Sink: sink, Model: o.Model, ...})
-//	RunOnlineShards(p, pol, src, n, seed)            Run(RunSpec{P: p, Policy: pol, Source: streams(src), Shards: n, Seed: seed})
-//	RunOnlineShardsWithOptions(...)                  ... plus the option fields
-//	RunOnlineShardsStream(p, pol, src, n, seed)      Run(RunSpec{P: p, Policy: pol, Source: src, Shards: n, Seed: seed})
-//	RunOnlineShardsStreamWithOptions(...)            ... plus the option fields
-//	RunCluster(cfg, st)                              Run(RunSpec{P: cfg.P, Policy: cfg.Policy, Stream: st, Shards: cfg.Shards, Router: cfg.Router, Workers: cfg.Workers, Sink: cfg.Sink, FleetProbe: cfg.Probe, ...})
-//
-// The OnlineOptions fields flatten into the spec (Model, TraceDecisions,
-// MaxEvents, Probe, ProbeEveryEvents, ProbeInterval). Cluster knobs added
-// after the migration (RunSpec.StaleRouting, RunSpec.Prefetch) have no
-// legacy spelling: they exist only on the spec,
-// and a spec that sets them without a Router is rejected rather than
-// silently ignored. Two intentional
-// differences: Run always returns the merged *RunResult (single-engine runs
-// read back as a one-shard fleet, with the legacy OnlineResult available as
-// Shards[0].Result), and the slice-shard topology of RunOnlineShards is
-// subsumed by the stream Source — wrap a slice with a StreamArrivals-style
-// source, or keep exact per-shard retention by running shards yourself.
+// Run is the only run entry point of the package: a single engine, a routed
+// cluster and independent shards are all RunSpec values, and every one
+// reports through RunResult (a single engine reads back as a one-shard fleet,
+// its OnlineResult in Shards[0].Result). Beneath it, an OnlineRunner is the
+// engine primitive itself — RunInto and RunStreamInto reuse its scratch
+// across runs, StartStream and StartFeed hand out the resumable stepper — and
+// RunStatic replays an offline instance on the same kernel.
 //
 // The heavy lifting lives in internal packages (internal/core,
 // internal/schedule, internal/engine, internal/lp, ...); this package is the

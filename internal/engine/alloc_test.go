@@ -84,15 +84,15 @@ func TestTraceDecisionsGate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunWithOptions(8, policy, arrivals, Options{})
-	if err != nil {
+	res := &Result{}
+	if err := NewRunner().RunInto(res, 8, policy, arrivals, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Decisions) != 0 {
 		t.Errorf("default run recorded %d decisions, want 0", len(res.Decisions))
 	}
-	traced, err := RunWithOptions(8, policy, arrivals, Options{TraceDecisions: true})
-	if err != nil {
+	traced := &Result{}
+	if err := NewRunner().RunInto(traced, 8, policy, arrivals, Options{TraceDecisions: true}); err != nil {
 		t.Fatal(err)
 	}
 	if len(traced.Decisions) != traced.Events {
@@ -113,8 +113,8 @@ func TestRunnerReuseMatchesFreshRuns(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fresh, err := Run(8, policy, arrivals)
-			if err != nil {
+			fresh := &Result{}
+			if err := NewRunner().RunInto(fresh, 8, policy, arrivals, Options{}); err != nil {
 				t.Fatal(err)
 			}
 			if err := runner.RunInto(res, 8, policy, arrivals, Options{}); err != nil {
@@ -145,7 +145,7 @@ func TestRunnerReuseUncomparablePolicy(t *testing.T) {
 	policy := PriorityPolicy{Priority: []int{0, 1, 2}}
 	runner := NewRunner()
 	for i := 0; i < 3; i++ {
-		if _, err := runner.Run(8, policy, arrivals); err != nil {
+		if err := runner.RunInto(&Result{}, 8, policy, arrivals, Options{}); err != nil {
 			t.Fatalf("run %d: %v", i, err)
 		}
 	}
@@ -164,12 +164,12 @@ func TestUnsortedArrivalsSorted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := Run(8, policy, arrivals)
-	if err != nil {
+	a := &Result{}
+	if err := NewRunner().RunInto(a, 8, policy, arrivals, Options{}); err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(8, policy, shuffled)
-	if err != nil {
+	b := &Result{}
+	if err := NewRunner().RunInto(b, 8, policy, shuffled, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if a.WeightedFlow != b.WeightedFlow || a.Makespan != b.Makespan || a.Events != b.Events {

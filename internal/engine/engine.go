@@ -296,19 +296,6 @@ func (o Options) model() speedup.Model {
 	return o.Model
 }
 
-// Run executes the policy on the arrival stream with default options.
-func Run(p float64, policy Policy, arrivals []Arrival) (*Result, error) {
-	return RunWithOptions(p, policy, arrivals, Options{})
-}
-
-// RunWithOptions executes the policy on the arrival stream using a fresh
-// Runner. Callers that execute many runs (benchmarks, load tests, servers)
-// should hold a Runner and call its methods instead, so the scratch buffers
-// amortize across runs.
-func RunWithOptions(p float64, policy Policy, arrivals []Arrival, opts Options) (*Result, error) {
-	return NewRunner().RunWithOptions(p, policy, arrivals, opts)
-}
-
 // liveTask is one alive task's slot in the Runner scratch: the arrival it
 // was admitted from plus its integration state. The kernel holds exactly one
 // liveTask per alive task and nothing per retired or pending task — that is
@@ -340,6 +327,9 @@ func (lt *liveTask) dratio(p float64) float64 { return math.Min(lt.delta, p) / l
 // 1e-9·max(1, volume)) mapped into key space.
 func (lt *liveTask) ktol() float64 { return 1e-9 * math.Max(1, lt.volume) / lt.w }
 
+// finite reports whether x is neither infinite nor NaN.
+func finite(x float64) bool { return !math.IsInf(x, 0) && !math.IsNaN(x) }
+
 // Runner owns the reusable scratch of the engine event loop: the alive-task
 // slots, the policy's view of the alive set, the allocation output buffer,
 // the per-event rate vector, and (for the slice path) the arrival order.
@@ -362,12 +352,11 @@ type Runner struct {
 	sorter arrivalSorter
 
 	// Event-core scratch (CoreAuto): the (key, id) slot heap over virtual
-	// completion keys, the delta-ratio eligibility heap, the fallback
-	// completion-quotient heap, and a key buffer for bulk rebuilds. All of it
-	// is rebuilt from r.live on demand (validity flags).
+	// completion keys, the delta-ratio eligibility heap, and a key buffer for
+	// bulk rebuilds. All of it is rebuilt from r.live on demand (validity
+	// flags).
 	vq         keyHeap
 	drh        idxHeap
-	qth        idxHeap
 	keyScratch []float64
 
 	// Reusable source and sink adapters of the two entry points.
@@ -390,21 +379,6 @@ type Runner struct {
 // NewRunner returns an empty Runner. The zero value works too; the
 // constructor exists for symmetry with the rest of the library.
 func NewRunner() *Runner { return &Runner{} }
-
-// Run executes the policy on the arrival stream with default options.
-func (r *Runner) Run(p float64, policy Policy, arrivals []Arrival) (*Result, error) {
-	return r.RunWithOptions(p, policy, arrivals, Options{})
-}
-
-// RunWithOptions executes the policy on the arrival stream and returns a
-// freshly allocated Result.
-func (r *Runner) RunWithOptions(p float64, policy Policy, arrivals []Arrival, opts Options) (*Result, error) {
-	res := &Result{}
-	if err := r.RunInto(res, p, policy, arrivals, opts); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
 
 // instantiate resolves the policy value used for one run: scratch-holding
 // policies are cloned via RunCloner (cached while the same policy value is
@@ -501,34 +475,6 @@ func (r *Runner) RunInto(res *Result, p float64, policy Policy, arrivals []Arriv
 	r.slice = sliceSource{}
 	r.tasks.tasks = nil
 	return err
-}
-
-// RunStream executes the policy on a pulled arrival stream with default
-// options, delivering per-task rows to sink (which may be nil to discard
-// them). See Runner.RunStreamInto.
-func RunStream(p float64, policy Policy, stream ArrivalStream, sink MetricSink) (*Result, error) {
-	return NewRunner().RunStream(p, policy, stream, sink)
-}
-
-// RunStreamWithOptions is RunStream with explicit options.
-func RunStreamWithOptions(p float64, policy Policy, stream ArrivalStream, sink MetricSink, opts Options) (*Result, error) {
-	return NewRunner().RunStreamWithOptions(p, policy, stream, sink, opts)
-}
-
-// RunStream executes the policy on a pulled arrival stream with default
-// options.
-func (r *Runner) RunStream(p float64, policy Policy, stream ArrivalStream, sink MetricSink) (*Result, error) {
-	return r.RunStreamWithOptions(p, policy, stream, sink, Options{})
-}
-
-// RunStreamWithOptions executes the policy on a pulled arrival stream and
-// returns a freshly allocated Result.
-func (r *Runner) RunStreamWithOptions(p float64, policy Policy, stream ArrivalStream, sink MetricSink, opts Options) (*Result, error) {
-	res := &Result{}
-	if err := r.RunStreamInto(res, p, policy, stream, sink, opts); err != nil {
-		return nil, err
-	}
-	return res, nil
 }
 
 // RunStreamInto is the streaming entry point of the kernel: arrivals are
@@ -633,9 +579,8 @@ type Stepper struct {
 	//     segment — no decrement sweep, no policy call; the next completion
 	//     is the (key, id)-least slot of the key heap.
 	//   - fallback (everything else): the pre-existing arithmetic, verbatim
-	//     — eager decrement sweep, policy invocation, completion search over
-	//     remaining/rate quotients (indexed heap under CoreAuto, producing
-	//     bit-identical minima to the naive scan).
+	//     — eager decrement sweep, policy invocation, completion search by a
+	//     scan over remaining/rate quotients under both cores.
 	//
 	// Mode transitions materialize or re-key the alive set in O(alive);
 	// stats counts events on each path and the transitions between them.
@@ -666,7 +611,7 @@ type Stepper struct {
 // the up-front validation the monolithic loop did (capacity, model probe,
 // empty stream) so Step never has to re-check per event.
 func (r *Runner) start(res *Result, p float64, policy Policy, src arrivalSource, sink MetricSink, opts Options, tasks []TaskMetrics, feedable bool) (*Stepper, error) {
-	if !(p > 0) || math.IsInf(p, 0) || math.IsNaN(p) {
+	if !(p > 0) || !finite(p) {
 		return nil, fmt.Errorf("engine: platform capacity must be positive and finite, got %g", p)
 	}
 	model := opts.model()
@@ -727,7 +672,6 @@ func (r *Runner) start(res *Result, p float64, policy Policy, src arrivalSource,
 		r.drh.valid = false
 	}
 	r.vq.valid = false
-	r.qth.valid = false
 	// The event safety bound starts at its zero-admissions value and grows
 	// incrementally at admit time (+4 per task), so process() never has to
 	// recompute it per event.
@@ -1082,6 +1026,13 @@ func (st *Stepper) stepOnce() (bool, error) {
 			st.now = snap
 		}
 		st.decided = false
+		if !finite(st.now) || !finite(st.vnow) {
+			// Past an overflowed clock every key is within tolerance and
+			// every retirement reads ∞ − ∞: fail instead of retiring tasks
+			// with a NaN or infinite Processed.
+			st.err = fmt.Errorf("engine: policy %q: the clock overflows at time %g (virtual clock %g)", st.policy.Name(), st.now, st.vnow)
+			return false, st.err
+		}
 	} else if len(st.r.live) == 0 {
 		// Idle (or initial) state: nothing alive, so the next event is the
 		// pending arrival — or the end of the run.
@@ -1115,6 +1066,14 @@ func (st *Stepper) process() (bool, error) {
 			id: st.pendingID, remaining: a.Task.Volume}
 		if st.certified {
 			lt.w = st.weigher.EqualShareWeight(lt.weight)
+			if !finite(lt.ktol()) {
+				// A tolerance of +Inf retires the task at the first virtual
+				// event whatever work it got: refuse the task instead of
+				// breaking work conservation.
+				st.err = fmt.Errorf("engine: policy %q: task %d: completion tolerance overflows (volume %g over share weight %g)",
+					st.policy.Name(), lt.id, lt.volume, lt.w)
+				return false, st.err
+			}
 			st.wsum += lt.w
 			if st.virtual {
 				lt.key = st.vnow + lt.remaining/lt.w
@@ -1249,27 +1208,22 @@ func (st *Stepper) process() (bool, error) {
 
 	// Decide the rates and the earliest completion delta; the actual clock
 	// advance happens lazily at the start of the next Step, after any
-	// intervening Feed has had its chance to bound it. Under CoreAuto the
-	// minimum quotient comes from the indexed completion heap; under
-	// CoreNaive from the reference scan. Both are the minimum of the same
-	// freshly computed float set, so the decided dt is bit-identical.
+	// intervening Feed has had its chance to bound it. Both cores scan: every
+	// running task's quotient can change at every fallback event, so no index
+	// beats the plain minimum, and a parked task (rate 0) has no quotient.
 	dt := math.Inf(1)
 	r.rates = r.rates[:0]
-	if st.core == CoreAuto {
-		dt = st.fallbackDt(alloc)
-	} else {
-		for k := range r.live {
-			rate := 0.0
-			if alloc[k] > 0 {
-				rate = st.model.Rate(r.states[k].shape(), alloc[k])
-			}
-			r.rates = append(r.rates, rate)
-			if rate <= 0 {
-				continue
-			}
-			if d := r.live[k].remaining / rate; d < dt {
-				dt = d
-			}
+	for k := range r.live {
+		rate := 0.0
+		if alloc[k] > 0 {
+			rate = st.model.Rate(r.states[k].shape(), alloc[k])
+		}
+		r.rates = append(r.rates, rate)
+		if rate <= 0 {
+			continue
+		}
+		if d := r.live[k].remaining / rate; d < dt {
+			dt = d
 		}
 	}
 	st.dtComp = dt
@@ -1316,9 +1270,6 @@ func (st *Stepper) removeSlot(k int) {
 		if r.vq.valid {
 			r.vq.removeSlot(r.live, k)
 		}
-		if r.qth.valid {
-			r.qth.removeSlot(k)
-		}
 	}
 	last := len(r.live) - 1
 	if k != last {
@@ -1329,9 +1280,6 @@ func (st *Stepper) removeSlot(k int) {
 			}
 			if r.vq.valid {
 				r.vq.renumber(last, k)
-			}
-			if r.qth.valid {
-				r.qth.renumber(last, k)
 			}
 		}
 	}
@@ -1438,67 +1386,6 @@ func (st *Stepper) leaveVirtual() {
 		lt.processed = lt.volume - rem
 	}
 	r.vq.valid = false
-	r.qth.valid = false
-}
-
-// fallbackDt fills the rate vector and returns the earliest completion
-// quotient min_k remaining_k/rate_k. The regime decides the structure: when
-// most of the alive set is running, every quotient changes every event and
-// no heap can beat the plain scan the naive core uses, so scan and leave the
-// heap invalid. When only a sliver runs (deep backlogs under greedy
-// policies, where almost everyone is parked at rate 0 with an unchanged
-// +Inf quotient), maintain the indexed completion heap incrementally — only
-// slots whose (remaining, rate) pair changed pay a sift. Either way the
-// returned dt is the minimum of the same float set, bit-identical to the
-// naive scan.
-func (st *Stepper) fallbackDt(alloc []float64) float64 {
-	r := st.r
-	n := len(r.live)
-	active := 0
-	dtScan := math.Inf(1)
-	for k := range r.live {
-		rate := 0.0
-		if alloc[k] > 0 {
-			rate = st.model.Rate(r.states[k].shape(), alloc[k])
-		}
-		r.rates = append(r.rates, rate)
-		if rate > 0 {
-			active++
-			if q := r.live[k].remaining / rate; q < dtScan {
-				dtScan = q
-			}
-		}
-	}
-	if active > n/4 {
-		// The invalidation forces the sparse regime to reseed with a full
-		// rebuild, which rewrites every quotient.
-		r.qth.valid = false
-		return dtScan
-	}
-	if !r.qth.valid {
-		r.keyScratch = growFloat(r.keyScratch, n)
-		for k := range r.live {
-			q := math.Inf(1)
-			if r.rates[k] > 0 {
-				q = r.live[k].remaining / r.rates[k]
-			}
-			r.keyScratch[k] = q
-		}
-		r.qth.rebuild(r.keyScratch[:n])
-	} else {
-		for k := range r.live {
-			q := math.Inf(1)
-			if r.rates[k] > 0 {
-				q = r.live[k].remaining / r.rates[k]
-			}
-			// Only slots whose quotient changed (or that joined since the
-			// last event) pay a sift.
-			if !r.qth.holds(k, q) {
-				r.qth.update(k, q)
-			}
-		}
-	}
-	return r.qth.min()
 }
 
 // QueueStats returns the event-core counters of the stepper's run: how many

@@ -15,8 +15,8 @@ func task(w, v, d float64) schedule.Task { return schedule.Task{Weight: w, Volum
 
 func mustRun(t *testing.T, p float64, policy Policy, arrivals []Arrival) *Result {
 	t.Helper()
-	res, err := Run(p, policy, arrivals)
-	if err != nil {
+	res := &Result{}
+	if err := NewRunner().RunInto(res, p, policy, arrivals, Options{}); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	return res
@@ -59,8 +59,8 @@ func TestSimultaneousArrivalAndCompletionTie(t *testing.T) {
 		{Task: task(1, 1, 1), Release: 0}, // completes exactly at t=1 on P=1
 		{Task: task(1, 1, 1), Release: 1}, // arrives exactly at t=1
 	}
-	res, err := RunWithOptions(1, WDEQPolicy{}, arrivals, Options{TraceDecisions: true})
-	if err != nil {
+	res := &Result{}
+	if err := NewRunner().RunInto(res, 1, WDEQPolicy{}, arrivals, Options{TraceDecisions: true}); err != nil {
 		t.Fatal(err)
 	}
 	if got := res.Tasks[0].Completion; !numeric.ApproxEqualTol(got, 1, 1e-9) {
@@ -156,7 +156,7 @@ func (starvingPolicy) Allocate(p float64, alive []TaskState, dst []float64) []fl
 }
 
 func TestStarvationDetected(t *testing.T) {
-	_, err := Run(1, starvingPolicy{}, []Arrival{{Task: task(1, 1, 1)}})
+	err := NewRunner().RunInto(&Result{}, 1, starvingPolicy{}, []Arrival{{Task: task(1, 1, 1)}}, Options{})
 	if err == nil || !strings.Contains(err.Error(), "starves") {
 		t.Fatalf("err = %v, want starvation error", err)
 	}
@@ -177,7 +177,7 @@ func TestOverAllocationRejected(t *testing.T) {
 		{Task: task(1, 1, 2)},
 		{Task: task(1, 1, 2)},
 	}
-	_, err := Run(2, overAllocatingPolicy{}, arrivals)
+	err := NewRunner().RunInto(&Result{}, 2, overAllocatingPolicy{}, arrivals, Options{})
 	if err == nil || !strings.Contains(err.Error(), "exceeds the platform capacity") {
 		t.Fatalf("err = %v, want capacity violation", err)
 	}
@@ -196,14 +196,14 @@ func TestArrivalValidation(t *testing.T) {
 		{"nan release", 1, Arrival{Task: task(1, 1, 1), Release: math.NaN()}},
 	}
 	for _, c := range cases {
-		if _, err := Run(c.p, WDEQPolicy{}, []Arrival{c.arr}); err == nil {
+		if err := NewRunner().RunInto(&Result{}, c.p, WDEQPolicy{}, []Arrival{c.arr}, Options{}); err == nil {
 			t.Errorf("%s: accepted", c.name)
 		}
 	}
-	if _, err := Run(0, WDEQPolicy{}, []Arrival{{Task: task(1, 1, 1)}}); err == nil {
+	if err := NewRunner().RunInto(&Result{}, 0, WDEQPolicy{}, []Arrival{{Task: task(1, 1, 1)}}, Options{}); err == nil {
 		t.Errorf("zero capacity accepted")
 	}
-	if _, err := Run(1, WDEQPolicy{}, nil); err == nil {
+	if err := NewRunner().RunInto(&Result{}, 1, WDEQPolicy{}, nil, Options{}); err == nil {
 		t.Errorf("empty stream accepted")
 	}
 }

@@ -5,14 +5,15 @@ import "math"
 // This file is the O(log n) event core of the stepper: the indexed structures
 // that replace the kernel's per-event linear passes over the alive set.
 //
-// Two indexed min-heaps cover the two completion-search regimes of the loop:
+// Two indexed min-heaps serve the virtual-clock mode of the loop:
 //
 //   - keyHeap: the virtual-clock event queue over the virtual-service keys of
 //     equal-share segments (see the virtual-clock notes in engine.go), ordered
 //     by (key, task id) and reading both straight from the live slots.
 //   - idxHeap: a heap over float64 keys it stores itself, used for the
-//     delta-ratio eligibility bound of the virtual mode and for the
-//     completion-quotient index of the fallback path.
+//     delta-ratio eligibility bound of the virtual mode.
+//
+// The fallback path searches its completion quotients by a plain scan.
 //
 // Both are addressed by live-slot number, so an update or removal by slot is
 // O(log n) whatever the key stream, and both obey the determinism rule of the
@@ -29,7 +30,7 @@ import "math"
 // QueueStats is the per-run counter pair recording which event core ran each
 // policy event: the virtual-clock equal-share path (no policy invocation, the
 // key heap or its naive reference) or the fallback path (policy invoked,
-// the quotient heap or the naive min-scan). Their sum is Result.Events.
+// a min-scan of the completion quotients). Their sum is Result.Events.
 type QueueStats struct {
 	// VirtualEvents counts events decided on the virtual-service clock.
 	VirtualEvents int
@@ -48,8 +49,8 @@ type QueueStats struct {
 type EventCore int
 
 const (
-	// CoreAuto is the default: (key, id) slot heap on virtual segments,
-	// indexed quotient heap on fallback segments.
+	// CoreAuto is the default: (key, id) slot heap and delta-ratio heap on
+	// virtual segments.
 	CoreAuto EventCore = iota
 	// CoreNaive is the reference implementation: the same virtual-clock
 	// semantics computed by linear scans.
@@ -124,23 +125,6 @@ func (h *idxHeap) push(slot int, key float64) {
 	h.siftUp(len(h.heap) - 1)
 }
 
-// update changes the key of a queued slot (or inserts it if absent).
-func (h *idxHeap) update(slot int, key float64) {
-	h.ensure(slot)
-	if h.pos[slot] < 0 {
-		h.push(slot, key)
-		return
-	}
-	old := h.key[slot]
-	h.key[slot] = key
-	i := int(h.pos[slot])
-	if key < old {
-		h.siftUp(i)
-	} else if key > old {
-		h.siftDown(i)
-	}
-}
-
 // removeSlot deletes a slot from the heap; absent slots are a no-op.
 func (h *idxHeap) removeSlot(slot int) {
 	if slot >= len(h.pos) || h.pos[slot] < 0 {
@@ -173,11 +157,6 @@ func (h *idxHeap) renumber(oldSlot, newSlot int) {
 	h.pos[newSlot] = i
 	h.pos[oldSlot] = -1
 	h.heap[i] = int32(newSlot)
-}
-
-// holds reports whether the slot is queued under exactly this key.
-func (h *idxHeap) holds(slot int, key float64) bool {
-	return slot < len(h.pos) && h.pos[slot] >= 0 && h.key[slot] == key
 }
 
 // min returns the least key, or +Inf when the heap is empty.

@@ -20,8 +20,8 @@ import (
 func runCore(t testing.TB, core EventCore, p float64, policy Policy, arrivals []Arrival, model speedup.Model) (*Result, QueueStats) {
 	t.Helper()
 	r := NewRunner()
-	res, err := r.RunWithOptions(p, policy, arrivals, Options{Model: model, EventCore: core})
-	if err != nil {
+	res := &Result{}
+	if err := r.RunInto(res, p, policy, arrivals, Options{Model: model, EventCore: core}); err != nil {
 		t.Fatalf("core %v: %v", core, err)
 	}
 	return res, r.LastQueueStats()
@@ -39,16 +39,15 @@ func runCoreErr(core EventCore, p float64, policy Policy, arrivals []Arrival, mo
 
 // requireCoresAgree runs CoreAuto and CoreNaive on the same input, requires
 // the same error (or none), bitwise-identical results and the same path
-// counters, and returns CoreAuto's outcome. NaN equals NaN only when nanOK is
-// set: extreme inputs can make both cores compute the same NaN (∞ − ∞).
-func requireCoresAgree(t testing.TB, label string, p float64, policy Policy, arrivals []Arrival, model speedup.Model, nanOK bool) (*Result, QueueStats, error) {
+// counters, and returns CoreAuto's outcome.
+func requireCoresAgree(t testing.TB, label string, p float64, policy Policy, arrivals []Arrival, model speedup.Model) (*Result, QueueStats, error) {
 	t.Helper()
 	auto, statsAuto, errAuto := runCoreErr(CoreAuto, p, policy, arrivals, model)
 	naive, statsNaive, errNaive := runCoreErr(CoreNaive, p, policy, arrivals, model)
 	if fmt.Sprint(errAuto) != fmt.Sprint(errNaive) {
 		t.Fatalf("%s: errors diverge: auto %v, naive %v", label, errAuto, errNaive)
 	}
-	requireIdenticalRuns(t, label, auto, naive, nanOK)
+	requireIdenticalRuns(t, label, auto, naive)
 	if statsAuto != statsNaive {
 		t.Fatalf("%s: path counters diverge: %+v vs %+v", label, statsAuto, statsNaive)
 	}
@@ -56,12 +55,11 @@ func requireCoresAgree(t testing.TB, label string, p float64, policy Policy, arr
 }
 
 // requireIdenticalRuns asserts two runs are bitwise identical: every
-// aggregate and every per-task row, signed zeros included. NaN equals NaN
-// only when nanOK is set.
-func requireIdenticalRuns(t testing.TB, label string, a, b *Result, nanOK bool) {
+// aggregate and every per-task row, signed zeros included.
+func requireIdenticalRuns(t testing.TB, label string, a, b *Result) {
 	t.Helper()
 	same := func(x, y float64) bool {
-		return x == y && math.Signbit(x) == math.Signbit(y) || nanOK && x != x && y != y
+		return x == y && math.Signbit(x) == math.Signbit(y)
 	}
 	if a.Events != b.Events || a.Completed != b.Completed || a.MaxAlive != b.MaxAlive {
 		t.Fatalf("%s: counters diverge: events %d vs %d, completed %d vs %d, maxAlive %d vs %d",
@@ -117,7 +115,7 @@ func TestEventCoreEquivalence(t *testing.T) {
 					t.Fatal(err)
 				}
 				label := loadName + "/" + modelName + "/" + policyName
-				auto, statsAuto, err := requireCoresAgree(t, label, 8, policy, arrivals, model, false)
+				auto, statsAuto, err := requireCoresAgree(t, label, 8, policy, arrivals, model)
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
@@ -166,7 +164,7 @@ func TestVirtualPathEngagement(t *testing.T) {
 	// Tracing disables certification (virtual segments invoke no policy, so
 	// the trace would be incomplete).
 	r := NewRunner()
-	if _, err := r.RunWithOptions(8, WDEQPolicy{}, arrivals, Options{TraceDecisions: true}); err != nil {
+	if err := r.RunInto(&Result{}, 8, WDEQPolicy{}, arrivals, Options{TraceDecisions: true}); err != nil {
 		t.Fatal(err)
 	}
 	if got := r.LastQueueStats(); got.VirtualEvents != 0 {
@@ -190,14 +188,9 @@ func TestEventQueueBoundaries(t *testing.T) {
 		arrivals []Arrival
 		// wdeqErr is a substring of the error both cores must return under
 		// WDEQ; empty requires success. DEQ ignores weights, so no case
-		// here starves it: every DEQ run must succeed.
+		// here starves it or overflows it: every DEQ run must succeed, and
+		// every successful run must conserve work.
 		wdeqErr string
-		// brokenConservation marks a known defect of both cores under WDEQ
-		// (ROADMAP, "Harden the boundaries"): an overflowing completion
-		// tolerance or clock retires tasks with Processed = -Inf or NaN.
-		// The cores must still agree, NaN for NaN, but work conservation is
-		// not checked. Every other run must conserve work.
-		brokenConservation bool
 	}
 	cases := map[string]boundaryCase{
 		// Zero-volume tasks at admission time: key = vnow exactly, popped at
@@ -259,31 +252,31 @@ func TestEventQueueBoundaries(t *testing.T) {
 			{Release: 0, Task: task(1, 1, 8)},
 		}, wdeqErr: "starves all remaining tasks"},
 		// The same +Inf tie, but an arrival released at 1e300 drives the
-		// clock itself to +Inf (vrate 4e10 over that gap): every key is then
-		// within tolerance, and the tied tasks retire in id order.
+		// virtual clock itself to +Inf (vrate 4e10 over that gap), where
+		// every key would be within tolerance: both cores fail at that event.
 		"inf-key-tie-clock-overflow": {arrivals: []Arrival{
 			{Release: 0, Task: task(1e300, 1e-10, 8)},
 			{Release: 0, Task: task(1e300, 1e-10, 8)},
 			{Release: 1e300, Task: task(1, 1, 8)},
-		}, brokenConservation: true},
+		}, wdeqErr: "clock overflows"},
 		// Weight 1e-300 under volume 1e300 overflows the key and its
-		// completion tolerance alike, so both tied tasks retire at the
-		// first event.
+		// completion tolerance alike, which would retire both tied tasks at
+		// the first event: both cores refuse the first at admission.
 		"inf-key-tie-tolerance-overflow": {arrivals: []Arrival{
 			{Release: 0, Task: task(1e300, 1e-300, 8)},
 			{Release: 0, Task: task(1e300, 1e-300, 8)},
 			{Release: 0, Task: task(1, 1, 8)},
-		}, brokenConservation: true},
+		}, wdeqErr: "completion tolerance overflows"},
 	}
 	for name, tc := range cases {
 		t.Run(name, func(t *testing.T) {
 			for _, policy := range []Policy{WDEQPolicy{}, DEQPolicy{}} {
 				label := name + "/" + policy.Name()
-				wantErr, broken := "", false
+				wantErr := ""
 				if policy.Name() == (WDEQPolicy{}).Name() {
-					wantErr, broken = tc.wdeqErr, tc.brokenConservation
+					wantErr = tc.wdeqErr
 				}
-				res, _, err := requireCoresAgree(t, label, 8, policy, tc.arrivals, nil, broken)
+				res, _, err := requireCoresAgree(t, label, 8, policy, tc.arrivals, nil)
 				switch {
 				case wantErr == "" && err != nil:
 					t.Fatalf("%s: %v", label, err)
@@ -296,7 +289,7 @@ func TestEventQueueBoundaries(t *testing.T) {
 					if tm.Completion < tm.Release {
 						t.Fatalf("%s: task %d completes before release: %+v", label, tm.ID, tm)
 					}
-					if v := tc.arrivals[tm.ID].Task.Volume; !broken && !(math.Abs(tm.Processed-v) <= 1e-6*math.Max(1, v)) {
+					if v := tc.arrivals[tm.ID].Task.Volume; !(math.Abs(tm.Processed-v) <= 1e-6*math.Max(1, v)) {
 						t.Fatalf("%s: task %d processed %g of volume %g", label, tm.ID, tm.Processed, v)
 					}
 				}
@@ -317,7 +310,7 @@ func TestEventQueueBoundaries(t *testing.T) {
 			{Release: 0.25, Task: task(4, 1, 8)},
 			{Release: 1, Task: task(2, 1, 8)},
 		}
-		if _, _, err := requireCoresAgree(t, "capacity-step-tie", 8, WDEQPolicy{}, arrivals, speedup.Platform{Profile: profile}, false); err != nil {
+		if _, _, err := requireCoresAgree(t, "capacity-step-tie", 8, WDEQPolicy{}, arrivals, speedup.Platform{Profile: profile}); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -471,7 +464,7 @@ func deepBacklogArrivals(t testing.TB, n int, seed int64) []Arrival {
 func TestEventCoreEquivalenceDeepBacklog(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		label := fmt.Sprintf("large-delta/rate200/seed%d", seed)
-		auto, stats, err := requireCoresAgree(t, label, 8, WDEQPolicy{}, deepBacklogArrivals(t, 4096, seed), nil, false)
+		auto, stats, err := requireCoresAgree(t, label, 8, WDEQPolicy{}, deepBacklogArrivals(t, 4096, seed), nil)
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
@@ -505,7 +498,7 @@ func TestEventQueueInfiniteKeyTerminates(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("CoreAuto did not finish an infinite-key run within 30s")
 	}
-	requireCoresAgree(t, "infinite-key", 8, WDEQPolicy{}, hostileInfiniteKey, nil, false)
+	requireCoresAgree(t, "infinite-key", 8, WDEQPolicy{}, hostileInfiniteKey, nil)
 }
 
 // FuzzEventQueueEquivalence drives random arrival/volume/curve sequences
@@ -517,8 +510,8 @@ func TestEventQueueInfiniteKeyTerminates(t *testing.T) {
 // and mode transitions. The two top values of the volume and selector bytes
 // reach the edges of the float range instead — volumes 1e300 and 5e-324,
 // weights 1e-300 and 1e300 — so keys overflow to +Inf and tie there. Only an
-// input that decodes one of those may end in an error or hold NaN (the same
-// under both cores); every other input must run to completion.
+// input that decodes one of those may end in an error (the same under both
+// cores); every other input must run to completion.
 func FuzzEventQueueEquivalence(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 1, 2, 3, 255, 254, 253, 7, 7, 7})
 	f.Add([]byte{10, 0, 200, 0, 0, 0, 31, 64, 9, 128, 130, 1, 90, 17, 3})
@@ -567,7 +560,7 @@ func FuzzEventQueueEquivalence(f *testing.F) {
 			t.Skip()
 		}
 		for _, policy := range []Policy{WDEQPolicy{}, DEQPolicy{}} {
-			if _, _, err := requireCoresAgree(t, policy.Name(), 8, policy, arrivals, nil, extreme); err != nil && !extreme {
+			if _, _, err := requireCoresAgree(t, policy.Name(), 8, policy, arrivals, nil); err != nil && !extreme {
 				t.Fatalf("%s: %v", policy.Name(), err)
 			}
 		}

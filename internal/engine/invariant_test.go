@@ -52,8 +52,8 @@ func TestInvariantWorkConservation(t *testing.T) {
 	arrivals := allocArrivals(t, 192, 23)
 	for modelName, model := range invariantModels(t) {
 		for policyName, policy := range invariantPolicies(t, len(arrivals)) {
-			res, err := RunWithOptions(8, policy, arrivals, Options{Model: model})
-			if err != nil {
+			res := &Result{}
+			if err := NewRunner().RunInto(res, 8, policy, arrivals, Options{Model: model}); err != nil {
 				t.Fatalf("%s/%s: %v", modelName, policyName, err)
 			}
 			for i, tm := range res.Tasks {
@@ -128,12 +128,12 @@ func TestInvariantNonClairvoyance(t *testing.T) {
 			if _, clairvoyant := policy.(Clairvoyant); clairvoyant {
 				continue
 			}
-			honest, err := RunWithOptions(8, policy, arrivals, Options{Model: model})
-			if err != nil {
+			honest := &Result{}
+			if err := NewRunner().RunInto(honest, 8, policy, arrivals, Options{Model: model}); err != nil {
 				t.Fatalf("%s/%s: %v", modelName, policyName, err)
 			}
-			poisoned, err := RunWithOptions(8, poisonPolicy(policy), arrivals, Options{Model: model})
-			if err != nil {
+			poisoned := &Result{}
+			if err := NewRunner().RunInto(poisoned, 8, poisonPolicy(policy), arrivals, Options{Model: model}); err != nil {
 				t.Fatalf("%s/%s (poisoned): %v", modelName, policyName, err)
 			}
 			if honest.WeightedFlow != poisoned.WeightedFlow || honest.Makespan != poisoned.Makespan ||
@@ -157,12 +157,12 @@ func TestInvariantNonClairvoyance(t *testing.T) {
 // meaningless and the baseline measures nothing).
 func TestSmithRatioUsesRemaining(t *testing.T) {
 	arrivals := allocArrivals(t, 192, 31)
-	honest, err := Run(8, SmithRatioPolicy{}, arrivals)
-	if err != nil {
+	honest := &Result{}
+	if err := NewRunner().RunInto(honest, 8, SmithRatioPolicy{}, arrivals, Options{}); err != nil {
 		t.Fatal(err)
 	}
-	poisoned, err := Run(8, remainingPoisoner{inner: SmithRatioPolicy{}}, arrivals)
-	if err != nil {
+	poisoned := &Result{}
+	if err := NewRunner().RunInto(poisoned, 8, remainingPoisoner{inner: SmithRatioPolicy{}}, arrivals, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if honest.WeightedFlow == poisoned.WeightedFlow {

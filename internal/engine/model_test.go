@@ -23,8 +23,8 @@ func mustProfile(t *testing.T, times, values []float64) *stepfunc.StepFunc {
 // the completion time is hand-computable.
 func TestPowerLawCompletionTime(t *testing.T) {
 	arrivals := []Arrival{{Task: task(1, 2, 4)}}
-	res, err := RunWithOptions(4, WDEQPolicy{}, arrivals, Options{Model: speedup.PowerLaw{Alpha: 0.5}})
-	if err != nil {
+	res := &Result{}
+	if err := NewRunner().RunInto(res, 4, WDEQPolicy{}, arrivals, Options{Model: speedup.PowerLaw{Alpha: 0.5}}); err != nil {
 		t.Fatal(err)
 	}
 	// WDEQ hands the lone task min(δ, P) = 4 processors; rate = 4^0.5 = 2,
@@ -41,8 +41,8 @@ func TestPowerLawCompletionTime(t *testing.T) {
 // is 2.
 func TestAmdahlCompletionTime(t *testing.T) {
 	arrivals := []Arrival{{Task: task(1, 4, 3)}}
-	res, err := RunWithOptions(3, WDEQPolicy{}, arrivals, Options{Model: speedup.Amdahl{Sigma: 0.25}})
-	if err != nil {
+	res := &Result{}
+	if err := NewRunner().RunInto(res, 3, WDEQPolicy{}, arrivals, Options{Model: speedup.Amdahl{Sigma: 0.25}}); err != nil {
 		t.Fatal(err)
 	}
 	if got := res.Tasks[0].Completion; !numeric.ApproxEqualTol(got, 2, 1e-9) {
@@ -57,8 +57,8 @@ func TestPerTaskCurveOverride(t *testing.T) {
 	b := task(1, 2, 2)
 	a.Curve = 1   // linear: rate 2 on its 2 processors
 	b.Curve = 0.5 // square root: rate √2
-	res, err := RunWithOptions(4, DEQPolicy{}, []Arrival{{Task: a}, {Task: b}}, Options{Model: speedup.PowerLaw{}})
-	if err != nil {
+	res := &Result{}
+	if err := NewRunner().RunInto(res, 4, DEQPolicy{}, []Arrival{{Task: a}, {Task: b}}, Options{Model: speedup.PowerLaw{}}); err != nil {
 		t.Fatal(err)
 	}
 	// DEQ gives each task 2 processors throughout (δ pins both at 2).
@@ -75,8 +75,8 @@ func TestPerTaskCurveOverride(t *testing.T) {
 func TestPlatformCapacityDrop(t *testing.T) {
 	model := speedup.Platform{Profile: mustProfile(t, []float64{0, 1}, []float64{2, 1})}
 	arrivals := []Arrival{{Task: task(1, 3, 2)}}
-	res, err := RunWithOptions(2, WDEQPolicy{}, arrivals, Options{Model: model, TraceDecisions: true})
-	if err != nil {
+	res := &Result{}
+	if err := NewRunner().RunInto(res, 2, WDEQPolicy{}, arrivals, Options{Model: model, TraceDecisions: true}); err != nil {
 		t.Fatal(err)
 	}
 	// Rate 2 on [0,1) processes 2 units; the remaining 1 unit runs at the
@@ -100,8 +100,8 @@ func TestPlatformCapacityDrop(t *testing.T) {
 func TestPlatformOutageParksTasks(t *testing.T) {
 	model := speedup.Platform{Profile: mustProfile(t, []float64{0, 5}, []float64{0, 2})}
 	arrivals := []Arrival{{Task: task(1, 2, 2)}}
-	res, err := RunWithOptions(2, WDEQPolicy{}, arrivals, Options{Model: model})
-	if err != nil {
+	res := &Result{}
+	if err := NewRunner().RunInto(res, 2, WDEQPolicy{}, arrivals, Options{Model: model}); err != nil {
 		t.Fatal(err)
 	}
 	// Nothing runs on [0,5); at t=5 the task gets 2 processors and drains its
@@ -118,7 +118,7 @@ func TestPlatformOutageParksTasks(t *testing.T) {
 // reported as an error rather than looping forever.
 func TestPlatformPermanentOutageIsStarvation(t *testing.T) {
 	model := speedup.Platform{Profile: mustProfile(t, []float64{0}, []float64{0})}
-	_, err := RunWithOptions(2, WDEQPolicy{}, []Arrival{{Task: task(1, 1, 1)}}, Options{Model: model})
+	err := NewRunner().RunInto(&Result{}, 2, WDEQPolicy{}, []Arrival{{Task: task(1, 1, 1)}}, Options{Model: model})
 	if err == nil || !strings.Contains(err.Error(), "starves") {
 		t.Fatalf("err = %v, want starvation error", err)
 	}
@@ -132,8 +132,8 @@ func TestPlatformCapsDeltaDuringDip(t *testing.T) {
 		{Task: task(10, 4, 4)},
 		{Task: task(1, 4, 4)},
 	}
-	res, err := RunWithOptions(4, WeightGreedyPolicy{}, arrivals, Options{Model: model, TraceDecisions: true})
-	if err != nil {
+	res := &Result{}
+	if err := NewRunner().RunInto(res, 4, WeightGreedyPolicy{}, arrivals, Options{Model: model, TraceDecisions: true}); err != nil {
 		t.Fatal(err)
 	}
 	// The heavy task takes the full capacity at every decision: 4 on [0,1)
@@ -195,7 +195,7 @@ func TestRunShardsWithModelDeterministic(t *testing.T) {
 		t.Errorf("model runs with same seed differ: %g/%g vs %g/%g",
 			a.WeightedFlow, a.Makespan, b.WeightedFlow, b.Makespan)
 	}
-	linear, err := RunShards(2, WDEQPolicy{}, src, 3, 7)
+	linear, err := RunShardsWithOptions(2, WDEQPolicy{}, src, 3, 7, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,8 +211,7 @@ type brokenRateModel struct{ speedup.LinearCap }
 func (brokenRateModel) Rate(t speedup.TaskShape, procs float64) float64 { return 1 }
 
 func TestEngineRejectsBrokenModel(t *testing.T) {
-	_, err := RunWithOptions(2, WDEQPolicy{}, []Arrival{{Task: task(1, 1, 1)}},
-		Options{Model: brokenRateModel{}})
+	err := NewRunner().RunInto(&Result{}, 2, WDEQPolicy{}, []Arrival{{Task: task(1, 1, 1)}}, Options{Model: brokenRateModel{}})
 	if err == nil || !strings.Contains(err.Error(), "speedup") {
 		t.Fatalf("err = %v, want model-contract rejection", err)
 	}
@@ -224,8 +223,8 @@ func TestEngineRejectsBrokenModel(t *testing.T) {
 func TestBudgetBreakpointCrossedOnce(t *testing.T) {
 	model := speedup.Platform{Profile: mustProfile(t, []float64{0, 0.3}, []float64{2, 2})}
 	arrivals := []Arrival{{Task: task(1, 1, 1), Release: 0.1}}
-	res, err := RunWithOptions(2, WDEQPolicy{}, arrivals, Options{Model: model, TraceDecisions: true})
-	if err != nil {
+	res := &Result{}
+	if err := NewRunner().RunInto(res, 2, WDEQPolicy{}, arrivals, Options{Model: model, TraceDecisions: true}); err != nil {
 		t.Fatal(err)
 	}
 	// One decision at the admission (t=0.1), one at the capacity step

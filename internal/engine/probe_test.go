@@ -19,8 +19,8 @@ func (p *recordingProbe) ObserveSnapshot(s Snapshot) { p.snaps = append(p.snaps,
 func TestProbeEveryEvent(t *testing.T) {
 	arrivals := allocArrivals(t, 256, 11)
 	probe := &recordingProbe{}
-	res, err := RunWithOptions(8, WDEQPolicy{}, arrivals, Options{Probe: probe})
-	if err != nil {
+	res := &Result{}
+	if err := NewRunner().RunInto(res, 8, WDEQPolicy{}, arrivals, Options{Probe: probe}); err != nil {
 		t.Fatal(err)
 	}
 	if len(probe.snaps) == 0 {
@@ -63,8 +63,8 @@ func TestProbeEveryEvent(t *testing.T) {
 func TestProbeEventInterval(t *testing.T) {
 	arrivals := allocArrivals(t, 512, 12)
 	probe := &recordingProbe{}
-	res, err := RunWithOptions(8, WDEQPolicy{}, arrivals, Options{Probe: probe, ProbeEveryEvents: 16})
-	if err != nil {
+	res := &Result{}
+	if err := NewRunner().RunInto(res, 8, WDEQPolicy{}, arrivals, Options{Probe: probe, ProbeEveryEvents: 16}); err != nil {
 		t.Fatal(err)
 	}
 	if len(probe.snaps) < 2 {
@@ -90,8 +90,8 @@ func TestProbeTimeInterval(t *testing.T) {
 	arrivals := allocArrivals(t, 512, 13)
 	const interval = 5.0
 	probe := &recordingProbe{}
-	res, err := RunWithOptions(8, WDEQPolicy{}, arrivals, Options{Probe: probe, ProbeInterval: interval})
-	if err != nil {
+	res := &Result{}
+	if err := NewRunner().RunInto(res, 8, WDEQPolicy{}, arrivals, Options{Probe: probe, ProbeInterval: interval}); err != nil {
 		t.Fatal(err)
 	}
 	want := int(math.Floor(res.Makespan / interval))

@@ -15,7 +15,7 @@ type ArrivalSource func(shard int, seed int64) ([]Arrival, error)
 
 // StreamSource is the pull form of ArrivalSource: it produces one shard's
 // ArrivalStream, so the shard never materializes its workload. It is the
-// input side of RunShardsStream.
+// input side of RunShardsStreamWithOptions.
 type StreamSource func(shard int, seed int64) (ArrivalStream, error)
 
 // ShardRun is the outcome of one shard of a sharded run.
@@ -24,8 +24,9 @@ type ShardRun struct {
 	Shard int `json:"shard"`
 	// Seed is the derived seed the shard's arrival stream was drawn with.
 	Seed int64 `json:"seed"`
-	// Result is the shard's engine result. Under RunShards it retains the
-	// per-task rows; under RunShardsStream it carries aggregates only.
+	// Result is the shard's engine result. Under RunShardsWithOptions it
+	// retains the per-task rows; under RunShardsStreamWithOptions it carries
+	// aggregates only.
 	Result *Result `json:"result"`
 }
 
@@ -51,10 +52,10 @@ type LoadResult struct {
 	// Throughput is TotalTasks divided by Makespan: the aggregate completion
 	// rate of the fleet while the slowest shard was still draining.
 	Throughput float64 `json:"throughput"`
-	// Flow summarizes the flow times of every task of every shard. RunShards
-	// computes the quantiles exactly from the retained samples;
-	// RunShardsStream reports them from the merged quantile sketch (within
-	// stats.DefaultSketchAlpha relative accuracy), flagged by FlowApprox.
+	// Flow summarizes the flow times of every task of every shard. Retained
+	// rows give exact quantiles; streamed runs report them from the merged
+	// quantile sketch (within stats.DefaultSketchAlpha relative accuracy),
+	// flagged by FlowApprox.
 	Flow stats.Summary `json:"flow"`
 	// FlowApprox reports that the Flow quantiles come from a sketch.
 	FlowApprox bool `json:"flowApprox,omitempty"`
@@ -95,19 +96,14 @@ func ShardSeed(base int64, shard int) int64 {
 	return int64(z ^ (z >> 31))
 }
 
-// RunShards runs `shards` independent engine instances concurrently, one
-// goroutine per shard, each over its own arrival stream drawn with a seed
-// derived from baseSeed, and merges the statistics deterministically. The
-// policy is shared across shards and must therefore be safe for concurrent
-// use (all bundled policies are stateless values).
-func RunShards(p float64, policy Policy, source ArrivalSource, shards int, baseSeed int64) (*LoadResult, error) {
-	return RunShardsWithOptions(p, policy, source, shards, baseSeed, Options{})
-}
-
-// RunShardsWithOptions is RunShards with per-run Options: every shard runs
-// under the same options, so a speedup model (Options.Model) applies to the
-// whole fleet. The model, like the policy, is shared across shard goroutines
-// and must be safe for concurrent use (all bundled models are stateless).
+// RunShardsWithOptions runs `shards` independent engine instances
+// concurrently, one goroutine per shard, each over its own materialized
+// arrival slice drawn with a seed derived from baseSeed, and merges the
+// statistics deterministically; every shard retains its per-task rows, so
+// the merged flow quantiles are exact. Every shard runs under the same
+// options, so a speedup model (Options.Model) applies to the whole fleet. The
+// policy and the model are shared across shard goroutines and must be safe
+// for concurrent use (all bundled policies and models are stateless).
 func RunShardsWithOptions(p float64, policy Policy, source ArrivalSource, shards int, baseSeed int64, opts Options) (*LoadResult, error) {
 	if source == nil {
 		return nil, fmt.Errorf("engine: nil arrival source")
@@ -120,8 +116,8 @@ func RunShardsWithOptions(p float64, policy Policy, source ArrivalSource, shards
 		// One Runner per shard goroutine: the scratch buffers are not
 		// safe to share, and per-goroutine reuse keeps the hot loop
 		// allocation-free.
-		res, err := NewRunner().RunWithOptions(p, policy, arrivals, opts)
-		if err != nil {
+		res := &Result{}
+		if err := NewRunner().RunInto(res, p, policy, arrivals, opts); err != nil {
 			return nil, nil, nil, err
 		}
 		agg := NewAggregateSink()
@@ -130,18 +126,12 @@ func RunShardsWithOptions(p float64, policy Policy, source ArrivalSource, shards
 	})
 }
 
-// RunShardsStream is the streaming form of RunShards: each shard pulls its
-// arrivals from a StreamSource and summarizes them through an AggregateSink
-// plus a flow-quantile SketchSink, so the whole fleet runs in memory
-// O(shards · (alive tasks + sink size)) no matter how long the streams are.
-// Per-task rows are not retained anywhere; the merged LoadResult reports
-// sketch-based flow quantiles (FlowApprox).
-func RunShardsStream(p float64, policy Policy, source StreamSource, shards int, baseSeed int64) (*LoadResult, error) {
-	return RunShardsStreamWithOptions(p, policy, source, shards, baseSeed, Options{})
-}
-
-// RunShardsStreamWithOptions is RunShardsStream with explicit per-run
-// Options, shared by every shard.
+// RunShardsStreamWithOptions is the streaming form of RunShardsWithOptions:
+// each shard pulls its arrivals from a StreamSource and summarizes them
+// through an AggregateSink plus a flow-quantile SketchSink, so the whole
+// fleet runs in memory O(shards · (alive tasks + sink size)) no matter how
+// long the streams are. Per-task rows are not retained anywhere; the merged
+// LoadResult reports sketch-based flow quantiles (FlowApprox).
 func RunShardsStreamWithOptions(p float64, policy Policy, source StreamSource, shards int, baseSeed int64, opts Options) (*LoadResult, error) {
 	if source == nil {
 		return nil, fmt.Errorf("engine: nil stream source")
@@ -153,8 +143,8 @@ func RunShardsStreamWithOptions(p float64, policy Policy, source StreamSource, s
 		}
 		agg := NewAggregateSink()
 		sk := NewSketchSink(0)
-		res, err := NewRunner().RunStreamWithOptions(p, policy, stream, MultiSink(agg, sk), opts)
-		if err != nil {
+		res := &Result{}
+		if err := NewRunner().RunStreamInto(res, p, policy, stream, MultiSink(agg, sk), opts); err != nil {
 			return nil, nil, nil, err
 		}
 		return res, agg, sk, nil

@@ -40,11 +40,11 @@ func poissonSource(n int) ArrivalSource {
 // determinism contract `mwct loadtest` relies on.
 func TestRunShardsDeterministic(t *testing.T) {
 	src := poissonSource(80)
-	a, err := RunShards(2, WDEQPolicy{}, src, 4, 99)
+	a, err := RunShardsWithOptions(2, WDEQPolicy{}, src, 4, 99, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunShards(2, WDEQPolicy{}, src, 4, 99)
+	b, err := RunShardsWithOptions(2, WDEQPolicy{}, src, 4, 99, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,11 +71,11 @@ func TestShardSeedsDecorrelated(t *testing.T) {
 		t.Errorf("base seeds 1 and 2 collide on shard 0")
 	}
 	src := poissonSource(40)
-	a, err := RunShards(2, WDEQPolicy{}, src, 2, 1)
+	a, err := RunShardsWithOptions(2, WDEQPolicy{}, src, 2, 1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunShards(2, WDEQPolicy{}, src, 2, 2)
+	b, err := RunShardsWithOptions(2, WDEQPolicy{}, src, 2, 2, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestShardSeedsDecorrelated(t *testing.T) {
 // produces, and the merged tenant accumulators must match an exact
 // recomputation over every task.
 func TestMergeShardsConsistency(t *testing.T) {
-	res, err := RunShards(2, WDEQPolicy{}, poissonSource(60), 3, 5)
+	res, err := RunShardsWithOptions(2, WDEQPolicy{}, poissonSource(60), 3, 5, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,11 +159,11 @@ func TestRunShardsPropagatesErrors(t *testing.T) {
 		}
 		return poissonSource(10)(shard, seed)
 	}
-	_, err := RunShards(2, WDEQPolicy{}, src, 4, 1)
+	_, err := RunShardsWithOptions(2, WDEQPolicy{}, src, 4, 1, Options{})
 	if err == nil {
 		t.Fatal("shard error swallowed")
 	}
-	if _, err := RunShards(2, WDEQPolicy{}, poissonSource(10), 0, 1); err == nil {
+	if _, err := RunShardsWithOptions(2, WDEQPolicy{}, poissonSource(10), 0, 1, Options{}); err == nil {
 		t.Fatal("zero shards accepted")
 	}
 }
@@ -177,7 +177,7 @@ func TestRunShardsRecoversPanics(t *testing.T) {
 		}
 		return poissonSource(10)(shard, seed)
 	}
-	_, err := RunShards(2, WDEQPolicy{}, src, 4, 1)
+	_, err := RunShardsWithOptions(2, WDEQPolicy{}, src, 4, 1, Options{})
 	if err == nil || !strings.Contains(err.Error(), "panic: boom") {
 		t.Fatalf("err = %v, want shard panic error", err)
 	}

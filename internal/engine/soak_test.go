@@ -93,8 +93,8 @@ func TestStreamSoakBoundedMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	slice, err := Run(cfg.P, WDEQPolicy{}, arrivals)
-	if err != nil {
+	slice := &Result{}
+	if err := NewRunner().RunInto(slice, cfg.P, WDEQPolicy{}, arrivals, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	short, err := workload.NewStream(cfg, prefix, 7)
@@ -102,8 +102,8 @@ func TestStreamSoakBoundedMemory(t *testing.T) {
 		t.Fatal(err)
 	}
 	full := NewFullSink(prefix)
-	streamRes, err := RunStream(cfg.P, WDEQPolicy{}, short, full)
-	if err != nil {
+	streamRes := &Result{}
+	if err := NewRunner().RunStreamInto(streamRes, cfg.P, WDEQPolicy{}, short, full, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if streamRes.WeightedFlow != slice.WeightedFlow || streamRes.Makespan != slice.Makespan ||

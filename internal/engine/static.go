@@ -47,8 +47,8 @@ func RunStatic(inst *schedule.Instance, policy Policy, opts Options) (*StaticRes
 		// The schedule is reconstructed from the trace, so force it on.
 		runOpts.TraceDecisions = true
 	}
-	res, err := RunWithOptions(inst.P, policy, StaticArrivals(inst), runOpts)
-	if err != nil {
+	res := &Result{}
+	if err := NewRunner().RunInto(res, inst.P, policy, StaticArrivals(inst), runOpts); err != nil {
 		return nil, err
 	}
 	out := &StaticResult{Result: *res}

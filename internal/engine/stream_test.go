@@ -36,8 +36,8 @@ func TestStreamMatchesSlicePath(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			slice, err := Run(8, policy, arrivals)
-			if err != nil {
+			slice := &Result{}
+			if err := NewRunner().RunInto(slice, 8, policy, arrivals, Options{}); err != nil {
 				t.Fatal(err)
 			}
 			stream, err := workload.NewStream(cfg, n, 17)
@@ -45,8 +45,8 @@ func TestStreamMatchesSlicePath(t *testing.T) {
 				t.Fatal(err)
 			}
 			full := NewFullSink(n)
-			res, err := RunStream(8, policy, stream, full)
-			if err != nil {
+			res := &Result{}
+			if err := NewRunner().RunStreamInto(res, 8, policy, stream, full, Options{}); err != nil {
 				t.Fatal(err)
 			}
 			if res.Completed != slice.Completed || res.Events != slice.Events ||
@@ -74,13 +74,13 @@ func TestStreamMatchesSlicePath(t *testing.T) {
 // reset cleanly.
 func TestAggregateSinkMatchesRetention(t *testing.T) {
 	arrivals := allocArrivals(t, 600, 23)
-	res, err := Run(8, WDEQPolicy{}, arrivals)
-	if err != nil {
+	res := &Result{}
+	if err := NewRunner().RunInto(res, 8, WDEQPolicy{}, arrivals, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	agg := NewAggregateSink()
 	stream := NewSliceStream(arrivals)
-	if _, err := RunStream(8, WDEQPolicy{}, stream, agg); err != nil {
+	if err := NewRunner().RunStreamInto(&Result{}, 8, WDEQPolicy{}, stream, agg, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if agg.Tasks() != len(arrivals) {
@@ -131,15 +131,15 @@ func TestSketchSinkQuantilesWithinOnePercent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(8, WDEQPolicy{}, arrivals)
-	if err != nil {
+	res := &Result{}
+	if err := NewRunner().RunInto(res, 8, WDEQPolicy{}, arrivals, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	exact := stats.Summarize(res.FlowTimes())
 
 	// Whole-run sketch.
 	sk := NewSketchSink(0)
-	if _, err := RunStream(8, WDEQPolicy{}, NewSliceStream(arrivals), sk); err != nil {
+	if err := NewRunner().RunStreamInto(&Result{}, 8, WDEQPolicy{}, NewSliceStream(arrivals), sk, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	// Shard-style merge: four quarter-streams sketched independently.
@@ -177,10 +177,10 @@ func TestSketchSinkQuantilesWithinOnePercent(t *testing.T) {
 func TestStreamBoundaryValidation(t *testing.T) {
 	mk := func(arrivals ...Arrival) ArrivalStream { return NewSliceStream(arrivals) }
 	t.Run("out of order", func(t *testing.T) {
-		_, err := RunStream(2, WDEQPolicy{}, mk(
+		err := NewRunner().RunStreamInto(&Result{}, 2, WDEQPolicy{}, mk(
 			Arrival{Task: task(1, 1, 1), Release: 5},
 			Arrival{Task: task(1, 1, 1), Release: 1},
-		), nil)
+		), nil, Options{})
 		if err == nil || !strings.Contains(err.Error(), "non-decreasing") {
 			t.Fatalf("err = %v, want ordering violation", err)
 		}
@@ -189,27 +189,27 @@ func TestStreamBoundaryValidation(t *testing.T) {
 		}
 	})
 	t.Run("invalid arrival", func(t *testing.T) {
-		_, err := RunStream(2, WDEQPolicy{}, mk(
+		err := NewRunner().RunStreamInto(&Result{}, 2, WDEQPolicy{}, mk(
 			Arrival{Task: task(1, 1, 1)},
 			Arrival{Task: task(0, 1, 1), Release: 1},
-		), nil)
+		), nil, Options{})
 		if err == nil || !strings.Contains(err.Error(), "arrival 1") {
 			t.Fatalf("err = %v, want validation error naming arrival 1", err)
 		}
 	})
 	t.Run("empty stream", func(t *testing.T) {
-		if _, err := RunStream(2, WDEQPolicy{}, mk(), nil); err == nil || !strings.Contains(err.Error(), "empty") {
+		if err := NewRunner().RunStreamInto(&Result{}, 2, WDEQPolicy{}, mk(), nil, Options{}); err == nil || !strings.Contains(err.Error(), "empty") {
 			t.Fatalf("err = %v, want empty-stream error", err)
 		}
 	})
 	t.Run("nil stream", func(t *testing.T) {
-		if _, err := RunStream(2, WDEQPolicy{}, nil, nil); err == nil {
+		if err := NewRunner().RunStreamInto(&Result{}, 2, WDEQPolicy{}, nil, nil, Options{}); err == nil {
 			t.Fatal("nil stream accepted")
 		}
 	})
 	t.Run("stream error", func(t *testing.T) {
 		boom := &erroringStream{after: 3}
-		_, err := RunStream(2, WDEQPolicy{}, boom, nil)
+		err := NewRunner().RunStreamInto(&Result{}, 2, WDEQPolicy{}, boom, nil, Options{})
 		if err == nil || !strings.Contains(err.Error(), "boom") || !strings.Contains(err.Error(), "arrival 3") {
 			t.Fatalf("err = %v, want wrapped stream error at arrival 3", err)
 		}
@@ -276,15 +276,15 @@ func TestRunShardsStreamMatchesSliceDriver(t *testing.T) {
 	streamSrc := func(shard int, seed int64) (ArrivalStream, error) {
 		return workload.NewStream(cfg, perShard, seed)
 	}
-	want, err := RunShards(8, WDEQPolicy{}, sliceSrc, 4, 99)
+	want, err := RunShardsWithOptions(8, WDEQPolicy{}, sliceSrc, 4, 99, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := RunShardsStream(8, WDEQPolicy{}, streamSrc, 4, 99)
+	got, err := RunShardsStreamWithOptions(8, WDEQPolicy{}, streamSrc, 4, 99, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, err := RunShardsStream(8, WDEQPolicy{}, streamSrc, 4, 99)
+	again, err := RunShardsStreamWithOptions(8, WDEQPolicy{}, streamSrc, 4, 99, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,7 +347,7 @@ func TestRunShardsStreamPropagatesErrors(t *testing.T) {
 		}
 		return workload.NewStream(workload.ArrivalConfig{Class: workload.Uniform, P: 8, Process: workload.Poisson, Rate: 8}, 10, seed)
 	}
-	_, err := RunShardsStream(8, WDEQPolicy{}, src, 4, 1)
+	_, err := RunShardsStreamWithOptions(8, WDEQPolicy{}, src, 4, 1, Options{})
 	if err == nil || !strings.Contains(err.Error(), "shard 1") {
 		t.Fatalf("err = %v, want error naming shard 1", err)
 	}

@@ -43,8 +43,8 @@ func TestEngineCollectorMirrorsRun(t *testing.T) {
 	r := NewRegistry()
 	col := NewEngineCollector(r)
 	flow := NewFlowSink(r)
-	res, err := engine.RunStreamWithOptions(8, testPolicy(t), stream, flow, engine.Options{Probe: col})
-	if err != nil {
+	res := &engine.Result{}
+	if err := engine.NewRunner().RunStreamInto(res, 8, testPolicy(t), stream, flow, engine.Options{Probe: col}); err != nil {
 		t.Fatal(err)
 	}
 	check := func(name string, c *Counter, want float64) {

@@ -21,9 +21,8 @@ func TestTimelineEngineRoundTrip(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	tl := NewTimeline(&buf, 0)
-	res, err := engine.RunStreamWithOptions(8, testPolicy(t), stream, tl,
-		engine.Options{Probe: tl, ProbeInterval: 2.0})
-	if err != nil {
+	res := &engine.Result{}
+	if err := engine.NewRunner().RunStreamInto(res, 8, testPolicy(t), stream, tl, engine.Options{Probe: tl, ProbeInterval: 2.0}); err != nil {
 		t.Fatal(err)
 	}
 	if err := tl.Close(); err != nil {

@@ -117,8 +117,8 @@ func LowerBound(inst *Instance) float64 { return core.LowerBound(inst) }
 
 // Arrival is one task of an online workload: the task itself, its release
 // date and the tenant that submitted it. Streams of arrivals drive the online
-// engine (RunOnline); unlike a task of a static Instance, a zero volume is
-// legal and completes the instant it is admitted.
+// engine (RunSpec.Arrivals); unlike a task of a static Instance, a zero
+// volume is legal and completes the instant it is admitted.
 type Arrival = engine.Arrival
 
 // OnlinePolicy is an online allocation policy for the arrival-driven engine.
@@ -177,55 +177,12 @@ type OnlineLoadResult = engine.LoadResult
 // "smith-ratio" baseline.
 func OnlinePolicyByName(name string) (OnlinePolicy, error) { return engine.PolicyByName(name) }
 
-// RunOnline executes an online policy on an arrival stream over a platform of
-// capacity p: the discrete-event engine admits tasks at their release dates,
-// re-invokes the policy at every arrival and completion, and reports per-task
-// flow metrics. This is the genuine online setting the paper's non-clairvoyant
-// algorithms were designed for.
-//
-// Deprecated: use Run with a RunSpec — see the migration table in the
-// package documentation.
-func RunOnline(p float64, policy OnlinePolicy, arrivals []Arrival) (*OnlineResult, error) {
-	return engine.Run(p, policy, arrivals)
-}
-
-// RunOnlineWithOptions is RunOnline with explicit options — most notably the
-// speedup model: Options.Model switches the kernel from the paper's linear
-// speedup to a concave or time-varying-capacity scenario without touching the
-// policy or the workload.
-//
-// Deprecated: use Run with a RunSpec — see the migration table in the
-// package documentation.
-func RunOnlineWithOptions(p float64, policy OnlinePolicy, arrivals []Arrival, opts OnlineOptions) (*OnlineResult, error) {
-	return engine.RunWithOptions(p, policy, arrivals, opts)
-}
-
 // RunStatic replays a static instance (all tasks released at time zero — the
 // offline setting of the paper) on the online kernel. Under a linear model
 // the result carries a validated column-based Schedule reconstructed from the
 // decision trace; non-linear models report engine metrics only.
 func RunStatic(inst *Instance, policy OnlinePolicy, opts OnlineOptions) (*StaticRunResult, error) {
 	return engine.RunStatic(inst, policy, opts)
-}
-
-// RunOnlineShards runs shards independent online engines concurrently — one
-// goroutine each, with per-shard seeds derived from baseSeed — and merges
-// their statistics deterministically. The source callback produces the
-// arrival stream of each shard.
-//
-// Deprecated: use Run with a RunSpec — see the migration table in the
-// package documentation.
-func RunOnlineShards(p float64, policy OnlinePolicy, source func(shard int, seed int64) ([]Arrival, error), shards int, baseSeed int64) (*OnlineLoadResult, error) {
-	return engine.RunShards(p, policy, source, shards, baseSeed)
-}
-
-// RunOnlineShardsWithOptions is RunOnlineShards with explicit options; the
-// speedup model (and any other option) applies uniformly to every shard.
-//
-// Deprecated: use Run with a RunSpec — see the migration table in the
-// package documentation.
-func RunOnlineShardsWithOptions(p float64, policy OnlinePolicy, source func(shard int, seed int64) ([]Arrival, error), shards int, baseSeed int64, opts OnlineOptions) (*OnlineLoadResult, error) {
-	return engine.RunShardsWithOptions(p, policy, source, shards, baseSeed, opts)
 }
 
 // ArrivalStream is the pull iterator consumed by the streaming engine: Next
@@ -279,49 +236,6 @@ func NewFullSink(capacity int) *FullSink { return engine.NewFullSink(capacity) }
 // entries are skipped.
 func CombineSinks(sinks ...MetricSink) MetricSink { return engine.MultiSink(sinks...) }
 
-// RunOnlineStream executes an online policy over a pulled arrival stream:
-// the engine admits arrivals lazily (one look-ahead), keeps only alive tasks
-// in scratch, and hands each completed task to sink (nil keeps aggregates
-// only) instead of retaining it — so a run's memory is O(peak backlog + sink
-// size), independent of the stream length. The returned OnlineResult carries
-// the aggregate metrics; its Tasks table stays empty.
-//
-// Deprecated: use Run with a RunSpec — see the migration table in the
-// package documentation.
-func RunOnlineStream(p float64, policy OnlinePolicy, stream ArrivalStream, sink MetricSink) (*OnlineResult, error) {
-	return engine.RunStream(p, policy, stream, sink)
-}
-
-// RunOnlineStreamWithOptions is RunOnlineStream with explicit options (most
-// notably the speedup model).
-//
-// Deprecated: use Run with a RunSpec — see the migration table in the
-// package documentation.
-func RunOnlineStreamWithOptions(p float64, policy OnlinePolicy, stream ArrivalStream, sink MetricSink, opts OnlineOptions) (*OnlineResult, error) {
-	return engine.RunStreamWithOptions(p, policy, stream, sink, opts)
-}
-
-// RunOnlineShardsStream is the streaming form of RunOnlineShards: each shard
-// pulls from its own ArrivalStream and summarizes through aggregate and
-// quantile sinks, merged deterministically; no per-task rows are retained
-// anywhere and the merged flow quantiles carry the sketch accuracy
-// (OnlineLoadResult.FlowApprox).
-//
-// Deprecated: use Run with a RunSpec — see the migration table in the
-// package documentation.
-func RunOnlineShardsStream(p float64, policy OnlinePolicy, source func(shard int, seed int64) (ArrivalStream, error), shards int, baseSeed int64) (*OnlineLoadResult, error) {
-	return engine.RunShardsStream(p, policy, source, shards, baseSeed)
-}
-
-// RunOnlineShardsStreamWithOptions is RunOnlineShardsStream with explicit
-// options, shared by every shard.
-//
-// Deprecated: use Run with a RunSpec — see the migration table in the
-// package documentation.
-func RunOnlineShardsStreamWithOptions(p float64, policy OnlinePolicy, source func(shard int, seed int64) (ArrivalStream, error), shards int, baseSeed int64, opts OnlineOptions) (*OnlineLoadResult, error) {
-	return engine.RunShardsStreamWithOptions(p, policy, source, shards, baseSeed, opts)
-}
-
 // OnlineStepper is the resumable form of the engine event loop: it advances
 // a run one event at a time (Step), exposes the virtual clock (Now), the
 // live backlog (Backlog) and the next scheduled event (NextEventTime), and
@@ -343,11 +257,6 @@ type ClusterRouter = cluster.Router
 // at dispatch time.
 type ClusterShardState = cluster.ShardState
 
-// ClusterConfig parameterizes RunCluster: shard count, per-shard capacity
-// and policy, the router, per-shard engine options, and an optional sink
-// observing every completion of the fleet in global virtual-time order.
-type ClusterConfig = cluster.Config
-
 // RouterByName constructs one of the bundled cluster routers; the seed
 // parameterizes the randomized ones ("po2", "hash-tenant") so a fixed seed
 // replays a byte-identical dispatch sequence.
@@ -358,25 +267,9 @@ func RouterByName(name string, seed int64) (ClusterRouter, error) {
 // RouterNames lists the bundled cluster router names.
 func RouterNames() []string { return cluster.RouterNames() }
 
-// RunCluster dispatches ONE global arrival stream across a fleet of engine
-// shards in a single deterministic virtual timeline: each arrival is routed
-// at its release time by the configured router, which sees exact per-shard
-// backlog snapshots because the coordinator interleaves shard events in
-// global order. This is the layer that makes shard count a scheduling
-// variable — compare it with RunOnlineShardsStream, where every shard draws
-// its own independent stream and no routing question exists. The merged
-// result reports per-shard imbalance (MinShardCompleted, MaxShardCompleted,
-// PeakBacklog) so router quality is visible at a glance.
-//
-// Deprecated: use Run with a RunSpec — see the migration table in the
-// package documentation.
-func RunCluster(cfg ClusterConfig, stream ArrivalStream) (*OnlineLoadResult, error) {
-	return cluster.Run(cfg, stream)
-}
-
 // ArrivalTraceWriter records an arrival stream as JSONL (one arrival per
 // line) so a workload can be replayed later; ArrivalTraceReader streams it
-// back and plugs directly into RunOnlineStream.
+// back and plugs directly into RunSpec.Stream.
 type ArrivalTraceWriter = workload.TraceWriter
 
 // ArrivalTraceReader streams a JSONL arrival trace; it satisfies
@@ -459,7 +352,7 @@ func (w OnlineWorkload) arrivalConfig() (workload.ArrivalConfig, error) {
 // shapes from the named instance class, release dates from the arrival
 // process, tenants by share (each task's weight is multiplied by its
 // tenant's weight). The stream is sorted by release date and ready for
-// RunOnline.
+// RunSpec.Arrivals.
 func GenerateArrivals(w OnlineWorkload, n int, seed int64) ([]Arrival, error) {
 	cfg, err := w.arrivalConfig()
 	if err != nil {
@@ -470,7 +363,7 @@ func GenerateArrivals(w OnlineWorkload, n int, seed int64) ([]Arrival, error) {
 
 // StreamArrivals is the constant-memory form of GenerateArrivals: it returns
 // a pull stream that draws the identical arrival sequence lazily, one task
-// at a time, ready for RunOnlineStream. Generating ten million arrivals this
+// at a time, ready for RunSpec.Stream. Generating ten million arrivals this
 // way costs the same memory as generating ten.
 func StreamArrivals(w OnlineWorkload, n int, seed int64) (ArrivalStream, error) {
 	cfg, err := w.arrivalConfig()
@@ -512,7 +405,7 @@ type RunProbeFunc = engine.ProbeFunc
 func CombineProbes(probes ...RunProbe) RunProbe { return engine.MultiProbe(probes...) }
 
 // ClusterProbe observes a routed fleet: the coordinator calls ObserveFleet
-// after each dispatch (thinnable via ClusterConfig.ProbeEveryDispatches) and
+// after each dispatch (thinnable via RunSpec.ProbeEveryDispatches) and
 // once after the drain, handing it the same per-shard snapshots routers see.
 type ClusterProbe = cluster.Probe
 
@@ -555,7 +448,7 @@ func NewEngineCollector(r *MetricsRegistry) *EngineCollector { return obs.NewEng
 
 // ClusterCollector is a ClusterProbe that mirrors fleet observations into
 // mwct_cluster_* and per-shard labeled mwct_shard_* registry metrics. Wire
-// it via ClusterConfig.Probe.
+// it via RunSpec.FleetProbe.
 type ClusterCollector = obs.ClusterCollector
 
 // NewClusterCollector registers the cluster metric families on r and
@@ -573,8 +466,8 @@ func NewFlowCollector(r *MetricsRegistry) *FlowCollector { return obs.NewFlowSin
 // RunTimeline records a run's trajectory — backlog, throughput, flow
 // quantiles over virtual time — as sampled JSONL records. It implements
 // RunProbe, MetricSink and ClusterProbe, so one timeline can observe a
-// single engine (OnlineOptions.Probe + sink) or a routed fleet
-// (ClusterConfig.Probe + Sink). Close flushes the terminal record;
+// single engine (RunSpec.Probe + Sink) or a routed fleet
+// (RunSpec.FleetProbe + Sink). Close flushes the terminal record;
 // ReadRunTimeline streams a recorded file back. `mwct loadtest -timeline`
 // is the command-line front end.
 type RunTimeline = obs.Timeline

@@ -1,7 +1,3 @@
-//lint:file-ignore SA1019 This file deliberately exercises the deprecated
-// Run* wrappers: they must keep working (and keep matching Run) until they
-// are removed.
-
 package malleable_test
 
 import (
@@ -163,7 +159,7 @@ func TestFacadeGreedyAndLateness(t *testing.T) {
 	}
 }
 
-func TestRunOnlineFacade(t *testing.T) {
+func TestRunSingleEngineFacade(t *testing.T) {
 	policy, err := malleable.OnlinePolicyByName("wdeq")
 	if err != nil {
 		t.Fatal(err)
@@ -172,10 +168,11 @@ func TestRunOnlineFacade(t *testing.T) {
 		{Task: malleable.Task{Name: "boot", Weight: 2, Volume: 1, Delta: 1}, Release: 0},
 		{Task: malleable.Task{Name: "serve", Weight: 1, Volume: 1, Delta: 1}, Release: 0.5},
 	}
-	res, err := malleable.RunOnline(1, policy, arrivals)
+	out, err := malleable.Run(malleable.RunSpec{P: 1, Policy: policy, Arrivals: arrivals})
 	if err != nil {
-		t.Fatalf("RunOnline: %v", err)
+		t.Fatalf("Run: %v", err)
 	}
+	res := out.Shards[0].Result
 	if res.Policy != "WDEQ" || len(res.Tasks) != 2 {
 		t.Fatalf("result = %+v", res)
 	}
@@ -192,27 +189,17 @@ func TestRunOnlineFacade(t *testing.T) {
 	}
 }
 
-func TestRunOnlineShardsFacade(t *testing.T) {
+func TestRunSourceShardsFacade(t *testing.T) {
 	policy, err := malleable.OnlinePolicyByName("deq")
 	if err != nil {
 		t.Fatal(err)
 	}
-	source := func(shard int, seed int64) ([]malleable.Arrival, error) {
-		rng := rand.New(rand.NewSource(seed))
-		arrivals := make([]malleable.Arrival, 30)
-		now := 0.0
-		for i := range arrivals {
-			now += rng.ExpFloat64() / 4
-			arrivals[i] = malleable.Arrival{
-				Task:    malleable.Task{Weight: 1, Volume: 0.2 + rng.Float64(), Delta: 1},
-				Release: now,
-			}
-		}
-		return arrivals, nil
+	source := func(shard int, seed int64) (malleable.ArrivalStream, error) {
+		return malleable.StreamArrivals(malleable.OnlineWorkload{P: 2, Rate: 4}, 30, seed)
 	}
-	res, err := malleable.RunOnlineShards(2, policy, source, 3, 7)
+	res, err := malleable.Run(malleable.RunSpec{P: 2, Policy: policy, Source: source, Shards: 3, Seed: 7})
 	if err != nil {
-		t.Fatalf("RunOnlineShards: %v", err)
+		t.Fatalf("Run: %v", err)
 	}
 	if res.TotalTasks != 90 || len(res.Shards) != 3 || res.Throughput <= 0 {
 		t.Errorf("load result = tasks %d, shards %d, throughput %g", res.TotalTasks, len(res.Shards), res.Throughput)
@@ -238,7 +225,7 @@ func TestGenerateArrivalsFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := malleable.RunOnline(2, policy, arrivals); err != nil {
+	if _, err := malleable.Run(malleable.RunSpec{P: 2, Policy: policy, Arrivals: arrivals}); err != nil {
 		t.Fatalf("generated stream not runnable: %v", err)
 	}
 	if _, err := malleable.GenerateArrivals(malleable.OnlineWorkload{Class: "nope", P: 2, Rate: 1}, 5, 1); err == nil {
@@ -287,8 +274,8 @@ func TestSpeedupModelFacade(t *testing.T) {
 		t.Errorf("concave makespan %g not slower than linear %g", concave.Makespan, static.Makespan)
 	}
 
-	// Online runs accept the model through RunOnlineWithOptions, and per-task
-	// curves flow from the generator into the kernel.
+	// Online runs accept the model through RunSpec.Model, and per-task curves
+	// flow from the generator into the kernel.
 	arrivals, err := malleable.GenerateArrivals(malleable.OnlineWorkload{
 		Class: "uniform", P: 4, Process: "poisson", Rate: 4,
 		CurveMin: 0.5, CurveMax: 0.9,
@@ -301,11 +288,11 @@ func TestSpeedupModelFacade(t *testing.T) {
 			t.Fatalf("arrival %d curve %g outside [0.5, 0.9]", i, a.Task.Curve)
 		}
 	}
-	linear, err := malleable.RunOnline(4, mustPolicy(t, "wdeq"), arrivals)
+	linear, err := malleable.Run(malleable.RunSpec{P: 4, Policy: mustPolicy(t, "wdeq"), Arrivals: arrivals})
 	if err != nil {
 		t.Fatal(err)
 	}
-	curved, err := malleable.RunOnlineWithOptions(4, mustPolicy(t, "wdeq"), arrivals, malleable.OnlineOptions{Model: model})
+	curved, err := malleable.Run(malleable.RunSpec{P: 4, Policy: mustPolicy(t, "wdeq"), Arrivals: arrivals, Model: model})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,8 +301,13 @@ func TestSpeedupModelFacade(t *testing.T) {
 	}
 
 	// The sharded form threads the same options through every shard.
-	source := func(shard int, seed int64) ([]malleable.Arrival, error) { return arrivals, nil }
-	load, err := malleable.RunOnlineShardsWithOptions(4, mustPolicy(t, "wdeq"), source, 2, 1, malleable.OnlineOptions{Model: model})
+	source := func(shard int, seed int64) (malleable.ArrivalStream, error) {
+		return malleable.StreamArrivals(malleable.OnlineWorkload{
+			Class: "uniform", P: 4, Process: "poisson", Rate: 4,
+			CurveMin: 0.5, CurveMax: 0.9,
+		}, 200, 7)
+	}
+	load, err := malleable.Run(malleable.RunSpec{P: 4, Policy: mustPolicy(t, "wdeq"), Source: source, Shards: 2, Seed: 1, Model: model})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,10 +332,10 @@ func mustPolicy(t *testing.T, name string) malleable.OnlinePolicy {
 	return p
 }
 
-// The streaming facade: StreamArrivals must match GenerateArrivals,
-// RunOnlineStream must match RunOnline on aggregates, sinks must see every
-// task, and a JSONL trace must round-trip into an identical replay.
-func TestRunOnlineStreamFacade(t *testing.T) {
+// The streaming facade: StreamArrivals must match GenerateArrivals, a Stream
+// run must match an Arrivals run on aggregates, sinks must see every task,
+// and a JSONL trace must round-trip into an identical replay.
+func TestRunStreamFacade(t *testing.T) {
 	w := malleable.OnlineWorkload{
 		Class: "uniform", P: 4, Process: "bursty", Rate: 6, MeanBurst: 3,
 		Tenants: []malleable.TenantSpec{
@@ -356,10 +348,11 @@ func TestRunOnlineStreamFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch, err := malleable.RunOnline(4, mustPolicy(t, "wdeq"), arrivals)
+	batchRun, err := malleable.Run(malleable.RunSpec{P: 4, Policy: mustPolicy(t, "wdeq"), Arrivals: arrivals})
 	if err != nil {
 		t.Fatal(err)
 	}
+	batch := batchRun.Shards[0].Result
 
 	stream, err := malleable.StreamArrivals(w, n, 11)
 	if err != nil {
@@ -368,10 +361,12 @@ func TestRunOnlineStreamFacade(t *testing.T) {
 	agg := malleable.NewAggregateSink()
 	quant := malleable.NewQuantileSink(0)
 	full := malleable.NewFullSink(n)
-	res, err := malleable.RunOnlineStream(4, mustPolicy(t, "wdeq"), stream, malleable.CombineSinks(agg, quant, full))
+	streamRun, err := malleable.Run(malleable.RunSpec{P: 4, Policy: mustPolicy(t, "wdeq"), Stream: stream,
+		Sink: malleable.CombineSinks(agg, quant, full)})
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := streamRun.Shards[0].Result
 	if res.Completed != n || res.WeightedFlow != batch.WeightedFlow || res.Makespan != batch.Makespan {
 		t.Fatalf("streaming aggregates differ: %+v vs %+v", res, batch)
 	}
@@ -398,10 +393,11 @@ func TestRunOnlineStreamFacade(t *testing.T) {
 	if err := tw.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	replayed, err := malleable.RunOnlineStream(4, mustPolicy(t, "wdeq"), malleable.NewArrivalTraceReader(&trace), nil)
+	replayRun, err := malleable.Run(malleable.RunSpec{P: 4, Policy: mustPolicy(t, "wdeq"), Stream: malleable.NewArrivalTraceReader(&trace)})
 	if err != nil {
 		t.Fatal(err)
 	}
+	replayed := replayRun.Shards[0].Result
 	if replayed.WeightedFlow != batch.WeightedFlow || replayed.Completed != n || replayed.Events != batch.Events {
 		t.Errorf("trace replay diverged: %+v vs %+v", replayed, batch)
 	}
@@ -410,7 +406,7 @@ func TestRunOnlineStreamFacade(t *testing.T) {
 	source := func(shard int, seed int64) (malleable.ArrivalStream, error) {
 		return malleable.StreamArrivals(w, n, seed)
 	}
-	load, err := malleable.RunOnlineShardsStream(4, mustPolicy(t, "wdeq"), source, 3, 5)
+	load, err := malleable.Run(malleable.RunSpec{P: 4, Policy: mustPolicy(t, "wdeq"), Source: source, Shards: 3, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -427,7 +423,7 @@ func TestRunOnlineStreamFacade(t *testing.T) {
 // The cluster facade: one global Zipf-skewed stream routed across a fleet,
 // deterministic under a fixed seed, with the imbalance fields populated and
 // the resumable stepper surfaced.
-func TestRunClusterFacade(t *testing.T) {
+func TestRunRouterFacade(t *testing.T) {
 	w := malleable.OnlineWorkload{
 		P: 4, Rate: 24,
 		Tenants: []malleable.TenantSpec{
@@ -447,9 +443,9 @@ func TestRunClusterFacade(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := malleable.RunCluster(malleable.ClusterConfig{
-			Shards: 3, P: 4, Policy: mustPolicy(t, "wdeq"), Router: router,
-		}, stream)
+		res, err := malleable.Run(malleable.RunSpec{
+			P: 4, Policy: mustPolicy(t, "wdeq"), Stream: stream, Shards: 3, Router: router,
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -508,7 +504,7 @@ func TestObservabilityFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := malleable.RunOnlineStream(4, mustPolicy(t, "wdeq"), stream, nil)
+	plain, err := malleable.Run(malleable.RunSpec{P: 4, Policy: mustPolicy(t, "wdeq"), Stream: stream})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -523,9 +519,9 @@ func TestObservabilityFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	observed, err := malleable.RunOnlineStreamWithOptions(4, mustPolicy(t, "wdeq"), stream,
-		malleable.CombineSinks(flows, timeline),
-		malleable.OnlineOptions{Probe: malleable.CombineProbes(collector, timeline)})
+	observed, err := malleable.Run(malleable.RunSpec{P: 4, Policy: mustPolicy(t, "wdeq"), Stream: stream,
+		Sink:  malleable.CombineSinks(flows, timeline),
+		Probe: malleable.CombineProbes(collector, timeline)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,9 +8,8 @@ import (
 	"github.com/malleable-sched/malleable/internal/engine"
 )
 
-// RunSpec describes one online run for Run — the single entry point that
-// replaced the Run* function family (see the migration table in the package
-// documentation). A spec names the platform and policy, exactly one arrival
+// RunSpec describes one online run for Run, the package's only run entry
+// point. A spec names the platform and policy, exactly one arrival
 // source, and an optional topology: no topology runs one engine, a Router
 // runs a routed cluster, a Source runs independent shards. Everything else —
 // speedup model, sinks, probes, worker count — is orthogonal configuration,
@@ -128,9 +127,8 @@ func (spec RunSpec) options() OnlineOptions {
 
 // Run executes one online run described by spec: a single engine, a routed
 // cluster (Router set; Workers parallelizes it without changing a byte of
-// output) or independent shards (Source set). It is the only non-deprecated
-// run entry point of the package; the migration table in the package
-// documentation maps each legacy Run* function to its spec.
+// output) or independent shards (Source set). It is the only run entry point
+// of the package.
 func Run(spec RunSpec) (*RunResult, error) {
 	sources := 0
 	if spec.Arrivals != nil {

@@ -1,6 +1,3 @@
-//lint:file-ignore SA1019 The equivalence tests here pin Run against the
-// deprecated Run* wrappers bit for bit; they exist precisely to call both.
-
 package malleable_test
 
 import (
@@ -9,6 +6,8 @@ import (
 	"testing"
 
 	malleable "github.com/malleable-sched/malleable"
+	"github.com/malleable-sched/malleable/internal/cluster"
+	"github.com/malleable-sched/malleable/internal/engine"
 )
 
 // runWorkload is the shared multi-tenant load of the Run equivalence tests.
@@ -67,10 +66,10 @@ type metricRows struct {
 
 func (c *metricRows) Observe(m malleable.TaskMetrics) { c.rows = append(c.rows, m) }
 
-// Run with Arrivals must reproduce RunOnlineWithOptions exactly: same
-// retained task table, same metrics — the legacy result is the new result's
-// first (only) shard.
-func TestRunMatchesRunOnline(t *testing.T) {
+// Run with Arrivals must reproduce the engine primitive Runner.RunInto
+// exactly: same retained task table, same metrics — the primitive's result is
+// Run's first (only) shard.
+func TestRunMatchesRunnerRunInto(t *testing.T) {
 	const n, seed = 600, 11
 	policy := runPolicy(t)
 	model, err := malleable.ParseSpeedupModel("powerlaw:0.8")
@@ -85,8 +84,8 @@ func TestRunMatchesRunOnline(t *testing.T) {
 		{"powerlaw", model},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			old, err := malleable.RunOnlineWithOptions(8, policy, runArrivals(t, n, seed), malleable.OnlineOptions{Model: tc.model})
-			if err != nil {
+			old := &malleable.OnlineResult{}
+			if err := malleable.NewOnlineRunner().RunInto(old, 8, policy, runArrivals(t, n, seed), malleable.OnlineOptions{Model: tc.model}); err != nil {
 				t.Fatal(err)
 			}
 			got, err := malleable.Run(malleable.RunSpec{
@@ -99,7 +98,7 @@ func TestRunMatchesRunOnline(t *testing.T) {
 				t.Fatalf("single-engine Run reported %d shards", len(got.Shards))
 			}
 			if want, have := mustJSON(t, old), mustJSON(t, got.Shards[0].Result); want != have {
-				t.Errorf("Run's shard result diverged from RunOnlineWithOptions:\n%s\nvs\n%s", have, want)
+				t.Errorf("Run's shard result diverged from RunInto:\n%s\nvs\n%s", have, want)
 			}
 			if got.TotalTasks != old.Completed || got.Makespan != old.Makespan {
 				t.Errorf("merged metrics diverged: %d/%g vs %d/%g", got.TotalTasks, got.Makespan, old.Completed, old.Makespan)
@@ -111,15 +110,15 @@ func TestRunMatchesRunOnline(t *testing.T) {
 	}
 }
 
-// Run with a Stream must reproduce RunOnlineStreamWithOptions: same
-// aggregate result, and the caller's sink sees the identical row sequence.
-func TestRunMatchesRunOnlineStream(t *testing.T) {
+// Run with a Stream must reproduce Runner.RunStreamInto: same aggregate
+// result, and the caller's sink sees the identical row sequence.
+func TestRunMatchesRunnerRunStreamInto(t *testing.T) {
 	const n, seed = 2000, 23
 	policy := runPolicy(t)
 
 	oldRows := &metricRows{}
-	old, err := malleable.RunOnlineStreamWithOptions(8, policy, runStream(t, n, seed), oldRows, malleable.OnlineOptions{})
-	if err != nil {
+	old := &malleable.OnlineResult{}
+	if err := malleable.NewOnlineRunner().RunStreamInto(old, 8, policy, runStream(t, n, seed), oldRows, malleable.OnlineOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	newRows := &metricRows{}
@@ -130,7 +129,7 @@ func TestRunMatchesRunOnlineStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	if want, have := mustJSON(t, old), mustJSON(t, got.Shards[0].Result); want != have {
-		t.Errorf("Run's shard result diverged from RunOnlineStreamWithOptions:\n%s\nvs\n%s", have, want)
+		t.Errorf("Run's shard result diverged from RunStreamInto:\n%s\nvs\n%s", have, want)
 	}
 	if !got.FlowApprox {
 		t.Error("stream run must flag sketch-backed quantiles")
@@ -145,15 +144,15 @@ func TestRunMatchesRunOnlineStream(t *testing.T) {
 	}
 }
 
-// Run with a Source must reproduce RunOnlineShardsStreamWithOptions — the
+// Run with a Source must reproduce engine.RunShardsStreamWithOptions — the
 // independent-shards topology, merged report and all.
-func TestRunMatchesRunOnlineShardsStream(t *testing.T) {
+func TestRunMatchesRunShardsStreamWithOptions(t *testing.T) {
 	const shards, baseSeed = 4, 77
 	policy := runPolicy(t)
 	source := func(shard int, seed int64) (malleable.ArrivalStream, error) {
 		return malleable.StreamArrivals(runWorkload(), 500, seed)
 	}
-	old, err := malleable.RunOnlineShardsStreamWithOptions(8, policy, source, shards, baseSeed, malleable.OnlineOptions{})
+	old, err := engine.RunShardsStreamWithOptions(8, policy, source, shards, baseSeed, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,14 +163,14 @@ func TestRunMatchesRunOnlineShardsStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	if want, have := mustJSON(t, old), mustJSON(t, got); want != have {
-		t.Errorf("Run diverged from RunOnlineShardsStreamWithOptions:\n%s\nvs\n%s", have, want)
+		t.Errorf("Run diverged from RunShardsStreamWithOptions:\n%s\nvs\n%s", have, want)
 	}
 }
 
-// Run with a Router must reproduce RunCluster, and Workers must not change a
+// Run with a Router must reproduce cluster.Run, and Workers must not change a
 // byte of the output — the facade-level face of the parallel coordinator's
 // determinism contract.
-func TestRunMatchesRunClusterAndWorkersAreByteInvariant(t *testing.T) {
+func TestRunMatchesClusterRunAndWorkersAreByteInvariant(t *testing.T) {
 	const n, shards, seed = 2500, 4, 5
 	policy := runPolicy(t)
 	newRouter := func() malleable.ClusterRouter {
@@ -182,7 +181,7 @@ func TestRunMatchesRunClusterAndWorkersAreByteInvariant(t *testing.T) {
 		return router
 	}
 	oldRows := &metricRows{}
-	old, err := malleable.RunCluster(malleable.ClusterConfig{
+	old, err := cluster.Run(cluster.Config{
 		Shards: shards, P: 8, Policy: policy, Router: newRouter(), Sink: oldRows,
 	}, runStream(t, n, seed))
 	if err != nil {
@@ -200,7 +199,7 @@ func TestRunMatchesRunClusterAndWorkersAreByteInvariant(t *testing.T) {
 		}
 		label := fmt.Sprintf("Workers=%d", workers)
 		if have := mustJSON(t, got); have != want {
-			t.Errorf("%s: Run diverged from RunCluster:\n%s\nvs\n%s", label, have, want)
+			t.Errorf("%s: Run diverged from cluster.Run:\n%s\nvs\n%s", label, have, want)
 		}
 		if len(rows.rows) != len(oldRows.rows) {
 			t.Fatalf("%s: sink rows %d vs %d", label, len(rows.rows), len(oldRows.rows))
@@ -216,8 +215,8 @@ func TestRunMatchesRunClusterAndWorkersAreByteInvariant(t *testing.T) {
 // The sink/probe parity the cluster config owes the single-engine paths: a
 // one-shard cluster run with an engine probe and a shared sink must observe
 // exactly what the plain single-engine stream run observes — same rows, same
-// probe trace. This is the audit for the historical gap where ClusterConfig
-// options and OnlineOptions diverged.
+// probe trace. This is the audit for the historical gap where the cluster
+// configuration's options and OnlineOptions diverged.
 func TestRunClusterSinkProbeParityWithSingleEngine(t *testing.T) {
 	const n, seed = 1200, 43
 	policy := runPolicy(t)
