@@ -184,7 +184,16 @@ func randomInstances(n int, p float64, count int) []*malleable.Instance {
 	if err != nil {
 		panic(err)
 	}
-	return gen.Batch(count)
+	return drawInstances(gen, count)
+}
+
+// drawInstances draws count instances from gen.
+func drawInstances(gen *workload.Generator, count int) []*malleable.Instance {
+	out := make([]*malleable.Instance, count)
+	for i := range out {
+		out[i] = gen.Next()
+	}
+	return out
 }
 
 func BenchmarkWDEQ(b *testing.B) {
@@ -270,34 +279,6 @@ func BenchmarkTheorem3Conversion(b *testing.B) {
 }
 
 // --- ablation benchmarks for the design choices listed in DESIGN.md ---
-
-func BenchmarkAblationWFQuadraticVsSorted(b *testing.B) {
-	insts := randomInstances(64, 16, 4)
-	completions := make([][]float64, len(insts))
-	for k, inst := range insts {
-		s, err := malleable.WDEQ(inst)
-		if err != nil {
-			b.Fatal(err)
-		}
-		completions[k] = s.CompletionTimes()
-	}
-	b.Run("per-column", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			k := i % len(insts)
-			if _, err := core.WaterFill(insts[k], completions[k]); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("plateau-levels", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			k := i % len(insts)
-			if _, err := core.WaterFillLevels(insts[k], completions[k]); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
 
 func BenchmarkAblationEnumerationVsBnB(b *testing.B) {
 	insts := randomInstances(5, 2, 4)
@@ -406,7 +387,7 @@ func BenchmarkSchedulePipeline(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	insts := gen.Batch(8)
+	insts := drawInstances(gen, 8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		inst := insts[i%len(insts)]

@@ -20,10 +20,10 @@ const goldenDir = "testdata/golden"
 // goldenLoadtestCases is the report matrix: every topology (exact slice
 // shards, stream shards, the observed one-shard stream, the routed cluster on
 // every router, stale+prefetch, workers), a concave model with per-task
-// curves, a clairvoyant policy, the three trace-replay shapes and two error
-// exits. In args, @timeline and @trace name the case's -timeline and
-// -trace-out files, and @replay the recorded trace of the stream-one-trace
-// case.
+// curves, a clairvoyant policy, the trace-replay shapes with the cluster
+// knobs, and the error exits. In args, @timeline and @trace name the case's
+// -timeline and -trace-out files, and @replay the recorded trace of the
+// stream-one-trace case.
 var goldenLoadtestCases = []struct {
 	name string
 	args []string
@@ -45,8 +45,18 @@ var goldenLoadtestCases = []struct {
 	{"replay-single", []string{"-trace-in", "@replay"}},
 	{"replay-shards", []string{"-trace-in", "@replay", "-shards", "3"}},
 	{"replay-router", []string{"-trace-in", "@replay", "-router", "least-backlog", "-shards", "2", "-speedup", "powerlaw:0.8"}},
+	{"replay-router-workers-prefetch", []string{"-trace-in", "@replay", "-router", "least-backlog", "-shards", "2", "-speedup", "powerlaw:0.8", "-workers", "2", "-prefetch"}},
+	{"replay-router-stale", []string{"-trace-in", "@replay", "-router", "least-backlog", "-shards", "2", "-stale"}},
 	{"error-workers-no-router", []string{"-n", "400", "-workers", "2"}},
 	{"error-stale-no-router", []string{"-n", "400", "-stale"}},
+	{"error-replay-workers-no-router", []string{"-trace-in", "@replay", "-workers", "4"}},
+}
+
+// goldenSameAs maps a case to the case whose golden files it must match
+// byte for byte.
+var goldenSameAs = map[string]string{
+	// -workers and -prefetch change no byte of a replay, as of a generated run.
+	"replay-router-workers-prefetch": "replay-router",
 }
 
 // goldenServeBodies are the POST /v1/loadtest bodies whose JSON responses
@@ -94,6 +104,10 @@ func requireGolden(t *testing.T, name string, got []byte) {
 // the ones the golden files pin.
 func TestLoadtestReportGolden(t *testing.T) {
 	for _, tc := range goldenLoadtestCases {
+		golden := tc.name
+		if same, ok := goldenSameAs[tc.name]; ok {
+			golden = same
+		}
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			paths := map[string]string{
@@ -130,21 +144,21 @@ func TestLoadtestReportGolden(t *testing.T) {
 			}
 			if strings.HasPrefix(tc.name, "error-") {
 				if runErr == nil {
-					t.Fatalf("run succeeded, want the error of %s.err", tc.name)
+					t.Fatalf("run succeeded, want the error of %s.err", golden)
 				}
-				requireGolden(t, tc.name+".err", []byte("mwct: "+runErr.Error()+"\n"))
+				requireGolden(t, golden+".err", []byte("mwct: "+runErr.Error()+"\n"))
 				return
 			}
 			if runErr != nil {
 				t.Fatal(runErr)
 			}
-			requireGolden(t, tc.name+".out", stdout)
+			requireGolden(t, golden+".out", stdout)
 			for _, side := range sideFiles {
 				got, err := os.ReadFile(paths["@"+side])
 				if err != nil {
 					t.Fatal(err)
 				}
-				requireGolden(t, tc.name+"."+side+".jsonl", got)
+				requireGolden(t, golden+"."+side+".jsonl", got)
 			}
 		})
 	}

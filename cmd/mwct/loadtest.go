@@ -178,14 +178,8 @@ func runLoadtestSpecWrapped(spec loadtestSpec, wrap func(shard int, s engine.Arr
 		// with fewer tasks than shards (unused shards simply drain empty).
 		return nil, nil, fmt.Errorf("loadtest: need at least one task per shard, got %d tasks over %d shards", spec.Tasks, spec.Shards)
 	}
-	if spec.Workers != 0 && spec.Router == "" {
-		return nil, nil, fmt.Errorf("loadtest: -workers parallelizes the cluster coordinator and needs -router")
-	}
-	if spec.Stale && spec.Router == "" {
-		return nil, nil, fmt.Errorf("loadtest: -stale stales the cluster router's fleet view and needs -router (least-backlog or po2)")
-	}
-	if spec.Prefetch && spec.Router == "" {
-		return nil, nil, fmt.Errorf("loadtest: -prefetch pipelines the cluster coordinator's arrival stream and needs -router")
+	if err := spec.checkClusterFlags(); err != nil {
+		return nil, nil, err
 	}
 	policy, cfg, tenants, model, err := spec.parse()
 	if err != nil {
@@ -247,6 +241,24 @@ func runLoadtestSpecWrapped(spec loadtestSpec, wrap func(shard int, s engine.Arr
 	}
 	res, err := spec.runOnline(policy, model, global, source, obsv)
 	return res, tenants, err
+}
+
+// checkClusterFlags rejects the cluster coordinator's knobs on a run
+// without a router, which has no coordinator to apply them to. A generated
+// run and a trace replay check the same flags with the same messages.
+func (spec loadtestSpec) checkClusterFlags() error {
+	if spec.Router != "" {
+		return nil
+	}
+	switch {
+	case spec.Workers != 0:
+		return fmt.Errorf("loadtest: -workers parallelizes the cluster coordinator and needs -router")
+	case spec.Stale:
+		return fmt.Errorf("loadtest: -stale stales the cluster router's fleet view and needs -router (least-backlog or po2)")
+	case spec.Prefetch:
+		return fmt.Errorf("loadtest: -prefetch pipelines the cluster coordinator's arrival stream and needs -router")
+	}
+	return nil
 }
 
 // runOnline makes the topology decision of every streamed load test and
@@ -356,7 +368,9 @@ func renderTenants(w io.Writer, perTenant []engine.TenantMetrics, tenants []work
 // and no router the trace drives a single streaming engine; with more
 // shards (or an explicit -router) the one recorded stream is dispatched
 // across the fleet by the cluster coordinator — the same trace replays at
-// any shard count, with the router deciding placement.
+// any shard count, with the router deciding placement. The coordinator's
+// knobs (-workers, -stale, -prefetch) apply as in a generated run, and need
+// a router as they do there.
 func traceReplayReport(w io.Writer, spec loadtestSpec, trace io.Reader) (int, error) {
 	policy, err := engine.PolicyByName(spec.Policy)
 	if err != nil {
@@ -370,9 +384,6 @@ func traceReplayReport(w io.Writer, spec loadtestSpec, trace io.Reader) (int, er
 	if modelName == "" {
 		modelName = "linear"
 	}
-	// A replay runs the exact coordinator whatever the cluster knobs of a
-	// generated run say.
-	spec.Workers, spec.Stale, spec.Prefetch = 0, false, false
 	if spec.Shards > 1 || spec.Router != "" {
 		if spec.Shards <= 0 {
 			return 0, fmt.Errorf("loadtest: need a positive shard count, got %d", spec.Shards)
@@ -381,13 +392,22 @@ func traceReplayReport(w io.Writer, spec loadtestSpec, trace io.Reader) (int, er
 			spec.Router = "round-robin"
 		}
 	}
+	if err := spec.checkClusterFlags(); err != nil {
+		return 0, err
+	}
 	res, err := spec.runOnline(policy, model, workload.NewTraceReader(trace), nil, loadtestObservers{})
 	if err != nil {
 		return 0, err
 	}
 	if spec.Router != "" {
-		fmt.Fprintf(w, "loadtest: policy=%s trace-replay tasks=%d shards=%d p=%g seed=%d speedup=%s stream=true router=%s\n",
-			res.Policy, res.TotalTasks, spec.Shards, spec.P, spec.Seed, modelName, spec.Router)
+		// As in a generated run's header, stale routing is named because it
+		// changes the schedule; -workers and -prefetch change no byte below.
+		stale := ""
+		if spec.Stale {
+			stale = " stale=true"
+		}
+		fmt.Fprintf(w, "loadtest: policy=%s trace-replay tasks=%d shards=%d p=%g seed=%d speedup=%s stream=true router=%s%s\n",
+			res.Policy, res.TotalTasks, spec.Shards, spec.P, spec.Seed, modelName, spec.Router, stale)
 		renderLoadBody(w, res, nil)
 		return res.TotalTasks, nil
 	}

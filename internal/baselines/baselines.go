@@ -1,8 +1,7 @@
 // Package baselines implements the comparison algorithms appearing in
 // Table I of the paper: Smith's rule on the squashed platform, SPT and LRF
-// (Kawaguchi–Kyan) list scheduling for single-processor tasks, weighted
-// round-robin processor sharing, and McNaughton's wrap-around rule for the
-// makespan. They serve as reference points for the Table I reproduction
+// (Kawaguchi–Kyan) list scheduling for single-processor tasks and weighted
+// round-robin processor sharing. They serve as reference points for the Table I reproduction
 // (experiment E9) and as sanity baselines in the examples.
 package baselines
 
@@ -131,63 +130,6 @@ func WeightedRoundRobin(inst *schedule.Instance) (*schedule.ColumnSchedule, erro
 	out := s.Clone()
 	out.Inst = inst
 	return out, nil
-}
-
-// McNaughton builds the classical wrap-around preemptive schedule minimizing
-// the makespan of single-processor tasks: the optimal makespan is
-// max(ΣV_i/P, max_i V_i) and every task is split across at most two
-// processors. It returns the per-processor assignment directly.
-func McNaughton(inst *schedule.Instance) (*schedule.ProcessorAssignment, error) {
-	if err := inst.Validate(); err != nil {
-		return nil, err
-	}
-	p := int(math.Floor(inst.P + numeric.Eps))
-	if p < 1 {
-		return nil, fmt.Errorf("baselines: McNaughton needs at least one whole processor, P = %g", inst.P)
-	}
-	cmax := 0.0
-	var total float64
-	for _, t := range inst.Tasks {
-		total += t.Volume
-		if t.Volume > cmax {
-			cmax = t.Volume
-		}
-	}
-	if lb := total / float64(p); lb > cmax {
-		cmax = lb
-	}
-	pa := &schedule.ProcessorAssignment{
-		Inst:        inst,
-		Procs:       make([][]schedule.Segment, p),
-		Completions: make([]float64, inst.N()),
-	}
-	proc := 0
-	used := 0.0
-	for i, t := range inst.Tasks {
-		remaining := t.Volume
-		completion := 0.0
-		for remaining > 1e-12 {
-			avail := cmax - used
-			take := math.Min(remaining, avail)
-			if take > 1e-12 {
-				pa.Procs[proc] = append(pa.Procs[proc], schedule.Segment{Task: i, Start: used, End: used + take})
-				if used+take > completion {
-					completion = used + take
-				}
-				used += take
-				remaining -= take
-			}
-			if cmax-used <= 1e-12 {
-				proc++
-				used = 0
-			}
-			if proc >= p && remaining > 1e-9 {
-				return nil, fmt.Errorf("baselines: McNaughton overflow placing task %d", i)
-			}
-		}
-		pa.Completions[i] = completion
-	}
-	return pa, nil
 }
 
 // Comparison is one row of an algorithm comparison: the algorithm name, its

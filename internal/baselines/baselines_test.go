@@ -135,50 +135,6 @@ func TestWeightedRoundRobin(t *testing.T) {
 	}
 }
 
-func TestMcNaughtonOptimalMakespan(t *testing.T) {
-	inst := mustInstance(t, 2, []schedule.Task{
-		{Weight: 1, Volume: 3, Delta: 1},
-		{Weight: 1, Volume: 2, Delta: 1},
-		{Weight: 1, Volume: 1, Delta: 1},
-	})
-	pa, err := McNaughton(inst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !numeric.ApproxEqual(pa.Makespan(), 3) { // max(6/2, 3) = 3
-		t.Errorf("makespan = %g, want 3", pa.Makespan())
-	}
-	// Work conservation: every task executes exactly its volume and no task
-	// overlaps itself (McNaughton guarantees at most one wrap per task).
-	for i := range inst.Tasks {
-		var total float64
-		for _, segs := range pa.Procs {
-			for _, seg := range segs {
-				if seg.Task == i {
-					total += seg.Duration()
-				}
-			}
-		}
-		if !numeric.ApproxEqual(total, inst.Tasks[i].Volume) {
-			t.Errorf("task %d executes %g, want %g", i, total, inst.Tasks[i].Volume)
-		}
-	}
-}
-
-func TestMcNaughtonSingleLongTask(t *testing.T) {
-	inst := mustInstance(t, 3, []schedule.Task{
-		{Weight: 1, Volume: 5, Delta: 1},
-		{Weight: 1, Volume: 1, Delta: 1},
-	})
-	pa, err := McNaughton(inst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !numeric.ApproxEqual(pa.Makespan(), 5) {
-		t.Errorf("makespan = %g, want 5 (the longest task)", pa.Makespan())
-	}
-}
-
 func TestCompareOnInstance(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	inst := unitDeltaInstance(rng, 4, 2)
@@ -227,38 +183,6 @@ func TestQuickListSchedulingSanity(t *testing.T) {
 		// the height bound or the squashed-area bound.
 		lb := core.LowerBound(inst)
 		return lrf.WeightedCompletionTime() >= lb-1e-6 && spt.WeightedCompletionTime() >= lb-1e-6
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: McNaughton's makespan equals the theoretical optimum
-// max(ΣV/P, max V) and the assignment never runs a task on two processors at
-// the same instant.
-func TestQuickMcNaughtonOptimal(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		inst := unitDeltaInstance(rng, 1+rng.Intn(8), 1+rng.Intn(4))
-		pa, err := McNaughton(inst)
-		if err != nil {
-			return false
-		}
-		want := 0.0
-		var total float64
-		for _, t := range inst.Tasks {
-			total += t.Volume
-			if t.Volume > want {
-				want = t.Volume
-			}
-		}
-		if lb := total / float64(int(inst.P)); lb > want {
-			want = lb
-		}
-		if !numeric.ApproxEqualTol(pa.Makespan(), want, 1e-6) {
-			return false
-		}
-		return pa.Validate() == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Error(err)

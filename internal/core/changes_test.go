@@ -98,13 +98,6 @@ func TestMinimizeMaxLatenessZeroDueDates(t *testing.T) {
 	}
 }
 
-func TestWaterFillLevelsSizeMismatch(t *testing.T) {
-	inst := mustInstance(t, 2, []schedule.Task{{Weight: 1, Volume: 1, Delta: 1}})
-	if _, err := WaterFillLevels(inst, []float64{1, 2}); err == nil {
-		t.Errorf("size mismatch accepted")
-	}
-}
-
 func TestCmaxOptimalSingleTask(t *testing.T) {
 	inst := mustInstance(t, 4, []schedule.Task{{Weight: 2, Volume: 6, Delta: 2}})
 	s, err := CmaxOptimal(inst)

@@ -165,33 +165,6 @@ func insertionSortBy(s []int, less func(a, b int) bool) {
 	}
 }
 
-// IsGreedy reports whether the given schedule coincides (up to numeric
-// tolerance) with the greedy schedule obtained from its own completion order,
-// i.e. whether it could have been produced by Algorithm 3 with that order.
-// This is the membership test behind Theorem 11 and Conjecture 12.
-func IsGreedy(s *schedule.ColumnSchedule) bool {
-	g, err := Greedy(s.Inst, s.Order)
-	if err != nil {
-		return false
-	}
-	for j := range s.Times {
-		if !numeric.ApproxEqualTol(g.Times[j], s.Times[j], 1e-6) {
-			return false
-		}
-	}
-	for i := range s.Alloc {
-		for j := range s.Alloc[i] {
-			if s.ColumnLength(j) <= numeric.Eps {
-				continue
-			}
-			if !numeric.ApproxEqualTol(g.Alloc[i][j], s.Alloc[i][j], 1e-6) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // CmaxOptimal builds a schedule with the optimal makespan
 // Cmax* = max(ΣV_i/P, max_i V_i/δ_i): all tasks complete exactly at Cmax*,
 // each running at constant rate V_i/Cmax*. It is used as the makespan entry

@@ -133,30 +133,6 @@ func TestBestGreedyHeuristicLarge(t *testing.T) {
 	}
 }
 
-func TestIsGreedy(t *testing.T) {
-	// Two identical δ=P tasks: the greedy schedule for the order (0,1) has
-	// completion order (0,1), so it is recognized as greedy; the Cmax-optimal
-	// schedule stretches both tasks to the same completion time and is not.
-	inst := mustInstance(t, 2, []schedule.Task{
-		{Weight: 1, Volume: 2, Delta: 2},
-		{Weight: 1, Volume: 2, Delta: 2},
-	})
-	g, err := Greedy(inst, []int{0, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !IsGreedy(g) {
-		t.Errorf("greedy schedule not recognized as greedy")
-	}
-	cm, err := CmaxOptimal(inst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if IsGreedy(cm) {
-		t.Errorf("Cmax-optimal schedule wrongly recognized as greedy")
-	}
-}
-
 // unitClassInstance builds an instance of the restricted class of Section
 // V-B: P=1, V_i=1, w_i=1, δ_i in [1/2, 1].
 func unitClassInstance(deltas []float64) *schedule.Instance {

@@ -150,125 +150,6 @@ func WaterFillFeasible(inst *schedule.Instance, completions []float64) bool {
 	return err == nil
 }
 
-// plateau is a maximal run of columns with equal occupied height, used by the
-// aggregated water-level computation.
-type plateau struct {
-	height float64
-	length float64
-}
-
-// WaterFillLevels computes only the water levels h_i chosen by Algorithm WF
-// for each task (in completion order), using an aggregated plateau
-// representation of the occupancy profile instead of per-column heights. It
-// returns the levels indexed by task, or an infeasibility error. It produces
-// exactly the same levels as WaterFill and is used as the fast path when the
-// full allocation matrix is not needed (for example for feasibility testing
-// inside search loops) and as the ablation counterpart of the reference
-// implementation.
-func WaterFillLevels(inst *schedule.Instance, completions []float64) ([]float64, error) {
-	if err := inst.Validate(); err != nil {
-		return nil, err
-	}
-	n := inst.N()
-	if len(completions) != n {
-		return nil, fmt.Errorf("core: need %d completion times, got %d", n, len(completions))
-	}
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool { return completions[order[a]] < completions[order[b]] })
-
-	levels := make([]float64, n)
-	// Plateaus sorted by non-increasing height (Lemma 3 guarantees the
-	// occupancy profile stays non-increasing over time, so column order and
-	// height order coincide).
-	var ps []plateau
-	prevTime := 0.0
-	for _, task := range order {
-		l := completions[task] - prevTime
-		prevTime = completions[task]
-		if l > numeric.Eps {
-			ps = append(ps, plateau{height: 0, length: l})
-		}
-		delta := inst.EffectiveDelta(task)
-		volume := inst.Tasks[task].Volume
-
-		capacity := 0.0
-		for _, p := range ps {
-			capacity += p.length * numeric.Clamp(inst.P-p.height, 0, delta)
-		}
-		if capacity < volume-1e-7*math.Max(1, volume) {
-			return nil, &ErrInfeasibleCompletionTimes{Task: task, Missing: volume - capacity}
-		}
-
-		level := plateauWaterLevel(ps, delta, volume)
-		levels[task] = level
-
-		// Raise the plateaus and merge the ones that reach the new level.
-		var next []plateau
-		for _, p := range ps {
-			switch {
-			case p.height >= level:
-				next = append(next, p)
-			case p.height >= level-delta:
-				next = append(next, plateau{height: level, length: p.length})
-			default:
-				next = append(next, plateau{height: p.height + delta, length: p.length})
-			}
-		}
-		ps = mergePlateaus(next)
-	}
-	return levels, nil
-}
-
-func plateauWaterLevel(ps []plateau, delta, volume float64) float64 {
-	var bps []float64
-	for _, p := range ps {
-		bps = append(bps, p.height, p.height+delta)
-	}
-	bps = append(bps, 0)
-	sort.Float64s(bps)
-	fill := func(h float64) float64 {
-		var sum numeric.KahanSum
-		for _, p := range ps {
-			sum.Add(p.length * numeric.Clamp(h-p.height, 0, delta))
-		}
-		return sum.Value()
-	}
-	prevH, prevV := bps[0], fill(bps[0])
-	if prevV >= volume {
-		return prevH
-	}
-	for _, h := range bps[1:] {
-		if h <= prevH {
-			continue
-		}
-		v := fill(h)
-		if v >= volume {
-			slope := (v - prevV) / (h - prevH)
-			return prevH + (volume-prevV)/slope
-		}
-		prevH, prevV = h, v
-	}
-	return prevH
-}
-
-// mergePlateaus re-sorts plateaus by non-increasing height and merges
-// adjacent plateaus of (numerically) equal height.
-func mergePlateaus(ps []plateau) []plateau {
-	sort.SliceStable(ps, func(a, b int) bool { return ps[a].height > ps[b].height })
-	var out []plateau
-	for _, p := range ps {
-		if n := len(out); n > 0 && numeric.ApproxEqual(out[n-1].height, p.height) {
-			out[n-1].length += p.length
-			continue
-		}
-		out = append(out, p)
-	}
-	return out
-}
-
 // Normalize rebuilds the schedule's normal form: it extracts the completion
 // times of the given valid schedule and reconstructs the water-filling
 // schedule with the same completion times (Theorem 8). The objective value is

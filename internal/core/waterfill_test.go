@@ -160,34 +160,6 @@ func TestNormalizePreservesCompletionTimes(t *testing.T) {
 	}
 }
 
-func TestWaterFillLevelsAgreeWithWaterFill(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 50; trial++ {
-		inst := randomInstance(rng, 1+rng.Intn(6), float64(1+rng.Intn(4)))
-		s, err := RunWDEQ(inst)
-		if err != nil {
-			t.Fatal(err)
-		}
-		completions := s.CompletionTimes()
-		if _, err := WaterFill(inst, completions); err != nil {
-			t.Fatalf("WaterFill infeasible on feasible input: %v", err)
-		}
-		if _, err := WaterFillLevels(inst, completions); err != nil {
-			t.Fatalf("WaterFillLevels infeasible on feasible input: %v", err)
-		}
-		// Tight completion times (scaled down) must be rejected by both.
-		tight := make([]float64, len(completions))
-		for i := range tight {
-			tight[i] = completions[i] * 0.3
-		}
-		_, errA := WaterFill(inst, tight)
-		_, errB := WaterFillLevels(inst, tight)
-		if (errA == nil) != (errB == nil) {
-			t.Fatalf("feasibility disagreement: WaterFill err=%v, WaterFillLevels err=%v", errA, errB)
-		}
-	}
-}
-
 func TestMinimizeMaxLateness(t *testing.T) {
 	inst := mustInstance(t, 2, []schedule.Task{
 		{Weight: 1, Volume: 2, Delta: 2, Due: 1},
@@ -204,7 +176,7 @@ func TestMinimizeMaxLateness(t *testing.T) {
 	// achievable maximum lateness is 2/3: schedule task 1 at rate 2 until
 	// t=5/3... in fact the optimum satisfies both tasks finishing at
 	// due+Lmax; verify the reported value matches the schedule.
-	if !numeric.GreaterEq(lmax+1e-6, s.MaxLateness()) {
+	if lmax+1e-6 < s.MaxLateness() && !numeric.ApproxEqual(lmax+1e-6, s.MaxLateness()) {
 		t.Errorf("reported Lmax %g smaller than the schedule's %g", lmax, s.MaxLateness())
 	}
 	// A lower bound: task 0 alone needs 1 time unit (due 1 → lateness >= 0),

@@ -5,29 +5,22 @@ import (
 
 	"github.com/malleable-sched/malleable/internal/numeric"
 	"github.com/malleable-sched/malleable/internal/schedule"
-	"github.com/malleable-sched/malleable/internal/speedup"
 	"github.com/malleable-sched/malleable/internal/stepfunc"
 )
 
-// ShareAllocation implements the resource-sharing rule of Algorithm 1 (WDEQ):
-// the P processors are split between the active tasks proportionally to their
-// weights; tasks whose proportional share exceeds their degree bound δ_i are
-// pinned at δ_i and the surplus is redistributed among the others, repeatedly,
-// until a fixed point is reached.
+// ShareAllocationInto implements the resource-sharing rule of Algorithm 1
+// (WDEQ): the P processors are split between the active tasks proportionally
+// to their weights; tasks whose proportional share exceeds their degree bound
+// δ_i are pinned at δ_i and the surplus is redistributed among the others,
+// repeatedly, until a fixed point is reached.
 //
-// weights and deltas describe the active tasks only; the returned slice gives
-// each task's allocation and always sums to at most P. The function is purely
-// combinatorial (it never looks at volumes), which is what makes WDEQ
-// non-clairvoyant.
-func ShareAllocation(p float64, weights, deltas []float64) []float64 {
-	return ShareAllocationInto(make([]float64, 0, len(weights)), p, weights, deltas)
-}
-
-// ShareAllocationInto is ShareAllocation with the append-into-dst convention
-// of the hot engine loop: the n shares are appended to dst and the extended
-// slice is returned. When cap(dst) >= len(dst)+n no allocation is performed,
-// so callers that thread the same buffer through every event run
-// allocation-free in steady state.
+// weights and deltas describe the active tasks only; the shares always sum to
+// at most P. The function is purely combinatorial (it never looks at
+// volumes), which is what makes WDEQ non-clairvoyant. It follows the
+// append-into-dst convention of the hot engine loop: the n shares are
+// appended to dst and the extended slice is returned. When
+// cap(dst) >= len(dst)+n no allocation is performed, so callers that thread
+// the same buffer through every event run allocation-free in steady state.
 func ShareAllocationInto(dst []float64, p float64, weights, deltas []float64) []float64 {
 	return ShareAllocationFunc(dst, p, len(weights),
 		func(i int) float64 { return weights[i] },
@@ -91,30 +84,9 @@ func ShareAllocationFunc(dst []float64, p float64, n int, weight, delta func(int
 	return dst
 }
 
-// ShareAllocationModelFunc is the model-aware form of the sharing rule: the
-// per-task pinning cap of the fixed point is min(δ_i, Model.MaxUseful(i)) —
-// the smallest allocation at which the speedup model's rate peaks — instead
-// of δ_i alone. For the paper's linear-cap model MaxUseful is exactly δ, so
-// this degenerates to ShareAllocationFunc; a model whose rate saturates
-// earlier pins tasks at the point of diminishing returns and redistributes
-// the processors they could not use. Shapes are read through shape(i), the
-// same accessor convention as ShareAllocationFunc, so the call allocates
-// nothing when dst has spare capacity.
-func ShareAllocationModelFunc(dst []float64, p float64, n int, m speedup.Model, weight func(int) float64, shape func(int) speedup.TaskShape) []float64 {
-	return ShareAllocationFunc(dst, p, n, weight, func(i int) float64 {
-		s := shape(i)
-		return math.Min(s.Delta, m.MaxUseful(s))
-	})
-}
-
-// EquipartitionAllocation is the unweighted DEQ sharing rule: every active
-// task has weight one.
-func EquipartitionAllocation(p float64, deltas []float64) []float64 {
-	return EquipartitionAllocationInto(make([]float64, 0, len(deltas)), p, deltas)
-}
-
-// EquipartitionAllocationInto is EquipartitionAllocation with the
-// append-into-dst convention of ShareAllocationInto.
+// EquipartitionAllocationInto is the unweighted DEQ sharing rule, where every
+// active task has weight one, with the append-into-dst convention of
+// ShareAllocationInto.
 func EquipartitionAllocationInto(dst []float64, p float64, deltas []float64) []float64 {
 	return ShareAllocationFunc(dst, p, len(deltas),
 		func(int) float64 { return 1 },

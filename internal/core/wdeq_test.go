@@ -7,12 +7,11 @@ import (
 
 	"github.com/malleable-sched/malleable/internal/numeric"
 	"github.com/malleable-sched/malleable/internal/schedule"
-	"github.com/malleable-sched/malleable/internal/speedup"
 )
 
 func TestShareAllocationProportional(t *testing.T) {
 	// No δ limit binds: shares are proportional to weights.
-	alloc := ShareAllocation(6, []float64{1, 2, 3}, []float64{10, 10, 10})
+	alloc := ShareAllocationInto(nil, 6, []float64{1, 2, 3}, []float64{10, 10, 10})
 	want := []float64{1, 2, 3}
 	for i := range want {
 		if !numeric.ApproxEqual(alloc[i], want[i]) {
@@ -23,7 +22,7 @@ func TestShareAllocationProportional(t *testing.T) {
 
 func TestShareAllocationPinsAtDelta(t *testing.T) {
 	// Task 0 would get 6*3/4 = 4.5 but is capped at 1; the surplus goes to task 1.
-	alloc := ShareAllocation(6, []float64{3, 1}, []float64{1, 10})
+	alloc := ShareAllocationInto(nil, 6, []float64{3, 1}, []float64{1, 10})
 	if !numeric.ApproxEqual(alloc[0], 1) {
 		t.Errorf("alloc[0] = %g, want 1", alloc[0])
 	}
@@ -34,7 +33,7 @@ func TestShareAllocationPinsAtDelta(t *testing.T) {
 
 func TestShareAllocationCascadingPins(t *testing.T) {
 	// Pinning one task can push another task over its own bound.
-	alloc := ShareAllocation(10, []float64{1, 1, 1}, []float64{1, 3, 100})
+	alloc := ShareAllocationInto(nil, 10, []float64{1, 1, 1}, []float64{1, 3, 100})
 	if !numeric.ApproxEqual(alloc[0], 1) || !numeric.ApproxEqual(alloc[1], 3) || !numeric.ApproxEqual(alloc[2], 6) {
 		t.Errorf("alloc = %v, want [1 3 6]", alloc)
 	}
@@ -42,20 +41,20 @@ func TestShareAllocationCascadingPins(t *testing.T) {
 
 func TestShareAllocationAllPinned(t *testing.T) {
 	// Σδ < P: everyone runs at δ, processors are left idle.
-	alloc := ShareAllocation(10, []float64{1, 1}, []float64{2, 3})
+	alloc := ShareAllocationInto(nil, 10, []float64{1, 1}, []float64{2, 3})
 	if !numeric.ApproxEqual(alloc[0], 2) || !numeric.ApproxEqual(alloc[1], 3) {
 		t.Errorf("alloc = %v, want [2 3]", alloc)
 	}
 }
 
 func TestShareAllocationEmpty(t *testing.T) {
-	if len(ShareAllocation(4, nil, nil)) != 0 {
+	if len(ShareAllocationInto(nil, 4, nil, nil)) != 0 {
 		t.Errorf("expected empty allocation")
 	}
 }
 
 func TestEquipartitionAllocation(t *testing.T) {
-	alloc := EquipartitionAllocation(4, []float64{4, 4})
+	alloc := EquipartitionAllocationInto(nil, 4, []float64{4, 4})
 	if !numeric.ApproxEqual(alloc[0], 2) || !numeric.ApproxEqual(alloc[1], 2) {
 		t.Errorf("DEQ alloc = %v", alloc)
 	}
@@ -167,7 +166,7 @@ func TestWDEQApproximationRatio(t *testing.T) {
 	if !numeric.ApproxEqual(r, 4.0/3) {
 		t.Errorf("ratio = %g, want 4/3", r)
 	}
-	if r, _ := WDEQApproximationRatio(inst, 0); !numeric.GreaterEq(r, 1e18) {
+	if r, _ := WDEQApproximationRatio(inst, 0); r < 1e18 && !numeric.ApproxEqual(r, 1e18) {
 		t.Errorf("ratio with zero reference should be +Inf, got %g", r)
 	}
 }
@@ -238,9 +237,10 @@ func TestQuickWDEQWithinTwiceBestGreedy(t *testing.T) {
 	}
 }
 
-// The append-into-dst variants must agree exactly with the allocating API
-// (same floating-point sequence) and respect the append base offset.
-func TestShareAllocationIntoMatchesAllocating(t *testing.T) {
+// The append-into-dst variants must respect the append base offset, produce
+// the same floating-point sequence at any offset, and DEQ must be WDEQ with
+// unit weights.
+func TestShareAllocationIntoAppendOffset(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 50; trial++ {
 		n := 1 + rng.Intn(8)
@@ -251,7 +251,7 @@ func TestShareAllocationIntoMatchesAllocating(t *testing.T) {
 			weights[i] = 0.1 + rng.Float64()
 			deltas[i] = 0.1 + p*rng.Float64()
 		}
-		want := ShareAllocation(p, weights, deltas)
+		want := ShareAllocationInto(nil, p, weights, deltas)
 		prefix := []float64{-7, -8}
 		got := ShareAllocationInto(append([]float64(nil), prefix...), p, weights, deltas)
 		if len(got) != len(prefix)+n {
@@ -265,7 +265,11 @@ func TestShareAllocationIntoMatchesAllocating(t *testing.T) {
 				t.Errorf("trial %d: entry %d = %g, want %g", trial, i, got[len(prefix)+i], want[i])
 			}
 		}
-		eqWant := EquipartitionAllocation(p, deltas)
+		ones := make([]float64, n)
+		for i := range ones {
+			ones[i] = 1
+		}
+		eqWant := ShareAllocationInto(nil, p, ones, deltas)
 		eqGot := EquipartitionAllocationInto(nil, p, deltas)
 		for i := range eqWant {
 			if eqGot[i] != eqWant[i] {
@@ -286,49 +290,5 @@ func TestShareAllocationIntoZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("ShareAllocationInto allocated %.3g times per call, want 0", allocs)
-	}
-}
-
-// saturatingModel is a test model whose rate peaks at 1 processor, so the
-// model-aware sharing rule must pin every task at 1 regardless of δ.
-type saturatingModel struct{ speedup.LinearCap }
-
-func (saturatingModel) MaxUseful(t speedup.TaskShape) float64 { return 1 }
-
-// ShareAllocationModelFunc must degenerate to the plain rule under the
-// paper's linear model (MaxUseful = δ) and pin tasks at the model's
-// saturation point when the model saturates earlier.
-func TestShareAllocationModelFunc(t *testing.T) {
-	weights := []float64{1, 2, 3, 4}
-	deltas := []float64{1, 1, 2, 8}
-	shape := func(i int) speedup.TaskShape { return speedup.TaskShape{Delta: deltas[i]} }
-	weight := func(i int) float64 { return weights[i] }
-
-	plain := ShareAllocationFunc(nil, 4, len(weights), weight, func(i int) float64 { return deltas[i] })
-	linear := ShareAllocationModelFunc(nil, 4, len(weights), speedup.LinearCap{}, weight, shape)
-	for i := range plain {
-		if linear[i] != plain[i] {
-			t.Errorf("linear model diverges from plain rule at %d: %g vs %g", i, linear[i], plain[i])
-		}
-	}
-
-	// PowerLaw and Amdahl rates are strictly increasing up to δ, so they too
-	// must reproduce the plain rule exactly.
-	for _, m := range []speedup.Model{speedup.PowerLaw{Alpha: 0.5}, speedup.Amdahl{Sigma: 0.3}} {
-		got := ShareAllocationModelFunc(nil, 4, len(weights), m, weight, shape)
-		for i := range plain {
-			if got[i] != plain[i] {
-				t.Errorf("%s diverges from plain rule at %d: %g vs %g", m.Name(), i, got[i], plain[i])
-			}
-		}
-	}
-
-	// A model saturating at 1 processor pins everyone at 1: with P=4 and four
-	// tasks, each gets exactly its useful maximum.
-	sat := ShareAllocationModelFunc(nil, 4, len(weights), saturatingModel{}, weight, shape)
-	for i, a := range sat {
-		if a != 1 {
-			t.Errorf("saturating model: task %d allocated %g, want 1", i, a)
-		}
 	}
 }

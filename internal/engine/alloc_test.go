@@ -41,7 +41,7 @@ func TestSteadyStateZeroAllocsPerEvent(t *testing.T) {
 	}{
 		"wdeq":              {WDEQPolicy{}, arrivals},
 		"weight-greedy":     {WeightGreedyPolicy{}, arrivals},
-		"priority":          {PriorityPolicy{Priority: priority}, arrivals},
+		"priority":          {priorityPolicy{Priority: priority}, arrivals},
 		"wdeq-deep-backlog": {WDEQPolicy{}, deepBacklogArrivals(t, 4096, 1)},
 	}
 	for name, c := range cases {
@@ -140,9 +140,9 @@ func TestRunnerReuseMatchesFreshRuns(t *testing.T) {
 // property of the dynamic value, not just the type).
 func TestRunnerReuseUncomparablePolicy(t *testing.T) {
 	arrivals := allocArrivals(t, 16, 8)
-	// PriorityPolicy holds a rank slice, so the value is uncomparable even
+	// priorityPolicy holds a rank slice, so the value is uncomparable even
 	// though other policy types are comparable.
-	policy := PriorityPolicy{Priority: []int{0, 1, 2}}
+	policy := priorityPolicy{Priority: []int{0, 1, 2}}
 	runner := NewRunner()
 	for i := 0; i < 3; i++ {
 		if err := runner.RunInto(&Result{}, 8, policy, arrivals, Options{}); err != nil {

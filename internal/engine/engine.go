@@ -94,11 +94,11 @@ type RunCloner interface {
 }
 
 // PolicyEqualer is an optional interface for policies whose values are not
-// comparable with == (typically because they hold a slice, like
-// PriorityPolicy's rank list). The Runner uses it to decide whether a cached
-// per-run clone may be reused; without it an uncomparable policy is freshly
-// cloned on every run, which costs a handful of allocations and would break
-// the zero-allocation steady state of repeated runs.
+// comparable with == (typically because they hold a slice, such as a rank
+// list). The Runner uses it to decide whether a cached per-run clone may be
+// reused; without it an uncomparable policy is freshly cloned on every run,
+// which costs a handful of allocations and would break the zero-allocation
+// steady state of repeated runs.
 type PolicyEqualer interface {
 	// EqualPolicy reports whether other denotes the same policy
 	// configuration as the receiver.
@@ -1387,10 +1387,6 @@ func (st *Stepper) leaveVirtual() {
 	}
 	r.vq.valid = false
 }
-
-// QueueStats returns the event-core counters of the stepper's run: how many
-// events each path decided and how often the segment mode switched.
-func (st *Stepper) QueueStats() QueueStats { return st.stats }
 
 // LastQueueStats returns the event-core counters of the Runner's most recent
 // (or in-progress) run — the observable record of which path decided the

@@ -32,7 +32,7 @@ func invariantPolicies(t *testing.T, n int) map[string]Policy {
 	for i := range priority {
 		priority[i] = (i * 7) % n
 	}
-	out := map[string]Policy{"priority": PriorityPolicy{Priority: priority}}
+	out := map[string]Policy{"priority": priorityPolicy{Priority: priority}}
 	for _, name := range PolicyNames() {
 		p, err := PolicyByName(name)
 		if err != nil {

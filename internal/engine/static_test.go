@@ -94,7 +94,7 @@ func TestRunStaticPriorityPolicy(t *testing.T) {
 		{Weight: 1, Volume: 2, Delta: 2},
 	})
 	// Task 1 has the highest priority (rank 0).
-	res, err := RunStatic(inst, PriorityPolicy{Priority: []int{1, 0}, Label: "prio"}, Options{})
+	res, err := RunStatic(inst, priorityPolicy{Priority: []int{1, 0}, Label: "prio"}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestRunStaticPriorityPolicy(t *testing.T) {
 	if res.Policy != "prio" {
 		t.Errorf("label not used: %q", res.Policy)
 	}
-	if (PriorityPolicy{}).Name() != "priority" {
+	if (priorityPolicy{}).Name() != "priority" {
 		t.Errorf("default name wrong")
 	}
 }
@@ -123,7 +123,7 @@ func TestQuickPriorityPolicyValidity(t *testing.T) {
 		for rank, task := range inst.SmithOrder() {
 			priority[task] = rank
 		}
-		res, err := RunStatic(inst, PriorityPolicy{Priority: priority, Label: "smith"}, Options{})
+		res, err := RunStatic(inst, priorityPolicy{Priority: priority, Label: "smith"}, Options{})
 		if err != nil {
 			return false
 		}

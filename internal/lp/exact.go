@@ -26,15 +26,6 @@ func (s *ExactSolution) ObjectiveFloat() float64 {
 	return f
 }
 
-// FloatSolution converts the exact solution to a float64 Solution.
-func (s *ExactSolution) FloatSolution() *Solution {
-	x := make([]float64, len(s.X))
-	for i, v := range s.X {
-		x[i], _ = v.Float64()
-	}
-	return &Solution{Status: s.Status, Objective: s.ObjectiveFloat(), X: x}
-}
-
 func newExactSolution(m *Model, res *simplexResult[ratValue]) *ExactSolution {
 	n := m.NumVariables()
 	out := &ExactSolution{

@@ -105,21 +105,12 @@ func NewModel(sense Sense) *Model {
 // NumVariables returns the number of variables added so far.
 func (m *Model) NumVariables() int { return len(m.obj) }
 
-// NumConstraints returns the number of constraints added so far.
-func (m *Model) NumConstraints() int { return len(m.cons) }
-
 // AddVariable adds a non-negative variable with the given objective
 // coefficient and returns its index. The name is used only for diagnostics.
 func (m *Model) AddVariable(name string, objCoeff float64) int {
 	m.obj = append(m.obj, objCoeff)
 	m.names = append(m.names, name)
 	return len(m.obj) - 1
-}
-
-// SetObjectiveCoeff overwrites the objective coefficient of variable v.
-func (m *Model) SetObjectiveCoeff(v int, c float64) {
-	m.mustVar(v)
-	m.obj[v] = c
 }
 
 // AddConstraint adds the constraint sum_i coeffs[i]*x_i (op) rhs. The coeffs
@@ -140,12 +131,6 @@ func (m *Model) mustVar(v int) {
 	if v < 0 || v >= len(m.obj) {
 		panic(fmt.Sprintf("lp: variable index %d out of range [0,%d)", v, len(m.obj)))
 	}
-}
-
-// VariableName returns the diagnostic name of variable v.
-func (m *Model) VariableName(v int) string {
-	m.mustVar(v)
-	return m.names[v]
 }
 
 // Solution is the result of solving a model with the float64 backend.

@@ -1,13 +1,9 @@
 // Package numeric provides the small numerical substrate shared by the
 // scheduling library: tolerant floating-point comparisons, compensated
-// summation, and convenience helpers around math/big.Rat for the exact
-// arithmetic paths (the exact LP backend and the Conjecture-13 checker).
+// summation and permutation enumeration.
 package numeric
 
-import (
-	"math"
-	"math/big"
-)
+import "math"
 
 // Eps is the default absolute/relative tolerance used throughout the library
 // when comparing schedule quantities expressed in float64. Schedules are built
@@ -31,21 +27,6 @@ func ApproxEqualTol(a, b, tol float64) bool {
 	diff := math.Abs(a - b)
 	scale := math.Max(1, math.Max(math.Abs(a), math.Abs(b)))
 	return diff <= tol*scale
-}
-
-// LessEq reports whether a <= b up to the default tolerance.
-func LessEq(a, b float64) bool {
-	return a <= b || ApproxEqual(a, b)
-}
-
-// GreaterEq reports whether a >= b up to the default tolerance.
-func GreaterEq(a, b float64) bool {
-	return a >= b || ApproxEqual(a, b)
-}
-
-// IsZero reports whether a is zero up to the default tolerance.
-func IsZero(a float64) bool {
-	return math.Abs(a) <= Eps
 }
 
 // Clamp returns x restricted to the interval [lo, hi].
@@ -81,76 +62,4 @@ func (k *KahanSum) Add(x float64) {
 // Value returns the compensated sum accumulated so far.
 func (k *KahanSum) Value() float64 {
 	return k.sum + k.c
-}
-
-// Sum returns the compensated sum of xs.
-func Sum(xs []float64) float64 {
-	var k KahanSum
-	for _, x := range xs {
-		k.Add(x)
-	}
-	return k.Value()
-}
-
-// Rat constructs a *big.Rat from a float64. It panics if f is NaN or
-// infinite, which never happens for valid instance data.
-func Rat(f float64) *big.Rat {
-	r := new(big.Rat)
-	if r.SetFloat64(f) == nil {
-		panic("numeric: cannot represent non-finite float64 as a rational")
-	}
-	return r
-}
-
-// RatFrac returns the rational p/q. It panics if q == 0.
-func RatFrac(p, q int64) *big.Rat {
-	if q == 0 {
-		panic("numeric: zero denominator")
-	}
-	return big.NewRat(p, q)
-}
-
-// RatsEqual reports whether two rationals are exactly equal.
-func RatsEqual(a, b *big.Rat) bool {
-	return a.Cmp(b) == 0
-}
-
-// RatMin returns the smaller of a and b (a new value, inputs untouched).
-func RatMin(a, b *big.Rat) *big.Rat {
-	if a.Cmp(b) <= 0 {
-		return new(big.Rat).Set(a)
-	}
-	return new(big.Rat).Set(b)
-}
-
-// RatMax returns the larger of a and b (a new value, inputs untouched).
-func RatMax(a, b *big.Rat) *big.Rat {
-	if a.Cmp(b) >= 0 {
-		return new(big.Rat).Set(a)
-	}
-	return new(big.Rat).Set(b)
-}
-
-// RatSum returns the exact sum of the given rationals.
-func RatSum(xs ...*big.Rat) *big.Rat {
-	s := new(big.Rat)
-	for _, x := range xs {
-		s.Add(s, x)
-	}
-	return s
-}
-
-// RatDot returns the exact dot product of two equally sized rational slices.
-// It panics if the lengths differ.
-func RatDot(a, b []*big.Rat) *big.Rat {
-	if len(a) != len(b) {
-		panic("numeric: RatDot length mismatch")
-	}
-	s := new(big.Rat)
-	t := new(big.Rat)
-	for i := range a {
-		t.Mul(a[i], b[i])
-		s.Add(s, t)
-	}
-	return s
 }

@@ -59,16 +59,6 @@ func Factorial(n int) int64 {
 	return f
 }
 
-// InversePermutation returns the inverse of perm: if perm maps position i to
-// value perm[i], the result maps value v back to its position.
-func InversePermutation(perm []int) []int {
-	inv := make([]int, len(perm))
-	for i, v := range perm {
-		inv[v] = i
-	}
-	return inv
-}
-
 // IdentityPermutation returns the identity permutation of size n.
 func IdentityPermutation(n int) []int {
 	p := make([]int, n)

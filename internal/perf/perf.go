@@ -623,20 +623,6 @@ func newResult(s Scenario, m measurement, events int, flows stats.Summary) Resul
 	return r
 }
 
-// RunAll executes the named scenarios (nil or empty means the whole pinned
-// set) with the given per-scenario wall budget and assembles the report.
-func RunAll(names []string, budget time.Duration) (*Report, error) {
-	return RunAllWithOverrides(names, budget, Overrides{Workers: -1})
-}
-
-// RunAllWithSpeedup is RunAll with an optional speedup-model override: a
-// non-empty spec replaces every selected scenario's model. It exists for
-// ad-hoc exploration (`mwct bench -speedup ...`); overridden runs keep the
-// scenario names, so do not gate them against a default baseline.
-func RunAllWithSpeedup(names []string, budget time.Duration, speedupOverride string) (*Report, error) {
-	return RunAllWithOverrides(names, budget, Overrides{Speedup: speedupOverride, Workers: -1})
-}
-
 // Overrides adjusts every selected scenario before it runs — the ad-hoc
 // exploration knobs behind `mwct bench -speedup` and `mwct bench -workers`.
 // Overridden runs keep the pinned scenario names, so do not gate them
@@ -650,8 +636,9 @@ type Overrides struct {
 	Workers int
 }
 
-// RunAllWithOverrides is RunAll with the scenario overrides applied to every
-// selected scenario before running.
+// RunAllWithOverrides executes the named scenarios (nil or empty means the
+// whole pinned set) with the given per-scenario wall budget, after applying
+// the overrides to every selected scenario, and assembles the report.
 func RunAllWithOverrides(names []string, budget time.Duration, o Overrides) (*Report, error) {
 	var scenarios []Scenario
 	if len(names) == 0 {

@@ -247,7 +247,7 @@ func TestCompareRunsRejectsBadInputs(t *testing.T) {
 // End-to-end smoke: every pinned scenario must run under a tiny budget and
 // produce sane, internally consistent numbers.
 func TestRunAllPinnedScenarios(t *testing.T) {
-	rep, err := RunAll(nil, 5*time.Millisecond)
+	rep, err := RunAllWithOverrides(nil, 5*time.Millisecond, Overrides{Workers: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,8 +353,8 @@ func TestScenarioByNameUnknown(t *testing.T) {
 	if _, err := ScenarioByName("nope"); err == nil {
 		t.Errorf("unknown scenario accepted")
 	}
-	if _, err := RunAll([]string{"nope"}, time.Millisecond); err == nil {
-		t.Errorf("RunAll accepted an unknown scenario")
+	if _, err := RunAllWithOverrides([]string{"nope"}, time.Millisecond, Overrides{Workers: -1}); err == nil {
+		t.Errorf("RunAllWithOverrides accepted an unknown scenario")
 	}
 }
 

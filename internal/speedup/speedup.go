@@ -58,10 +58,9 @@ type TaskShape struct {
 // constant allocations: TimeToProcess(t, q, v) = v / Rate(t, q) (and +Inf
 // when the rate is zero). MaxUseful returns the smallest allocation achieving
 // the task's peak rate — the point beyond which processors are wasted — which
-// the model-aware equipartition variant (core.ShareAllocationModelFunc)
-// offers custom policies as the pinning cap of the fixed point; for every
-// bundled model it equals the degree bound, so the bundled policies use the
-// plain rule.
+// a custom policy may use as the pinning cap of the sharing fixed point; for
+// every bundled model it equals the degree bound, so the bundled policies use
+// the plain rule.
 type Model interface {
 	// Name identifies the model in reports and flag values.
 	Name() string

@@ -85,60 +85,6 @@ func (s Summary) String() string {
 		s.Count, s.Mean, s.StdDev, s.Min, s.P50, s.P90, s.P99, s.Max)
 }
 
-// Histogram is a fixed-bin histogram over [Lo, Hi); observations outside the
-// range are clamped into the first or last bin.
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int
-	Total  int
-}
-
-// NewHistogram creates a histogram with the given number of bins over
-// [lo, hi). It panics if bins <= 0 or hi <= lo.
-func NewHistogram(lo, hi float64, bins int) *Histogram {
-	if bins <= 0 || !(hi > lo) {
-		panic("stats: invalid histogram parameters")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int, bins)}
-}
-
-// Add records an observation.
-func (h *Histogram) Add(x float64) {
-	bin := int(float64(len(h.Counts)) * (x - h.Lo) / (h.Hi - h.Lo))
-	if bin < 0 {
-		bin = 0
-	}
-	if bin >= len(h.Counts) {
-		bin = len(h.Counts) - 1
-	}
-	h.Counts[bin]++
-	h.Total++
-}
-
-// Fraction returns the fraction of observations in bin i.
-func (h *Histogram) Fraction(i int) float64 {
-	if h.Total == 0 {
-		return 0
-	}
-	return float64(h.Counts[i]) / float64(h.Total)
-}
-
-// String renders the histogram as a compact bar chart.
-func (h *Histogram) String() string {
-	out := ""
-	width := (h.Hi - h.Lo) / float64(len(h.Counts))
-	for i, c := range h.Counts {
-		bar := ""
-		if h.Total > 0 {
-			for k := 0; k < int(40*float64(c)/float64(h.Total)+0.5); k++ {
-				bar += "#"
-			}
-		}
-		out += fmt.Sprintf("[%8.3g,%8.3g) %6d %s\n", h.Lo+float64(i)*width, h.Lo+float64(i+1)*width, c, bar)
-	}
-	return out
-}
-
 // Accumulator is a streaming, mergeable moment accumulator (Welford's
 // algorithm with the parallel combination of Chan et al.). It lets many
 // engine shards summarize their observations independently and merge the
@@ -211,18 +157,3 @@ func (a *Accumulator) Min() float64 { return a.min }
 
 // Max returns the largest observation (0 when empty).
 func (a *Accumulator) Max() float64 { return a.max }
-
-// MaxRatio returns max(a_i/b_i) over the paired samples, skipping pairs with
-// non-positive denominator. It returns 0 for empty input.
-func MaxRatio(num, den []float64) float64 {
-	m := 0.0
-	for i := range num {
-		if i >= len(den) || den[i] <= 0 {
-			continue
-		}
-		if r := num[i] / den[i]; r > m {
-			m = r
-		}
-	}
-	return m
-}

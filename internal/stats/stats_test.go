@@ -45,48 +45,6 @@ func TestQuantile(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for i := 0; i < 10; i++ {
-		h.Add(float64(i))
-	}
-	h.Add(-5) // clamped to first bin
-	h.Add(50) // clamped to last bin
-	if h.Total != 12 {
-		t.Errorf("Total = %d", h.Total)
-	}
-	if h.Counts[0] != 3 || h.Counts[4] != 3 {
-		t.Errorf("Counts = %v", h.Counts)
-	}
-	if !numeric.ApproxEqual(h.Fraction(0), 0.25) {
-		t.Errorf("Fraction = %g", h.Fraction(0))
-	}
-	if !strings.Contains(h.String(), "#") {
-		t.Errorf("String missing bars")
-	}
-}
-
-func TestHistogramPanicsOnBadParams(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Errorf("expected panic")
-		}
-	}()
-	NewHistogram(1, 1, 3)
-}
-
-func TestMaxRatio(t *testing.T) {
-	if r := MaxRatio([]float64{1, 4, 9}, []float64{1, 2, 3}); !numeric.ApproxEqual(r, 3) {
-		t.Errorf("MaxRatio = %g", r)
-	}
-	if r := MaxRatio([]float64{1}, []float64{0}); r != 0 {
-		t.Errorf("MaxRatio with zero denominator = %g", r)
-	}
-	if MaxRatio(nil, nil) != 0 {
-		t.Errorf("empty MaxRatio")
-	}
-}
-
 func TestSummaryString(t *testing.T) {
 	if !strings.Contains(Summarize([]float64{1, 2}).String(), "mean") {
 		t.Errorf("String missing fields")

@@ -60,16 +60,6 @@ func (f *StepFunc) Clone() *StepFunc {
 // NumPieces returns the number of constant pieces of f.
 func (f *StepFunc) NumPieces() int { return len(f.times) }
 
-// Breakpoints returns a copy of the breakpoint times of f (the first is 0).
-func (f *StepFunc) Breakpoints() []float64 {
-	return append([]float64(nil), f.times...)
-}
-
-// Values returns a copy of the piece values of f, aligned with Breakpoints.
-func (f *StepFunc) Values() []float64 {
-	return append([]float64(nil), f.values...)
-}
-
 // segmentIndex returns the index i such that t lies in [times[i], times[i+1])
 // (or the last index if t is beyond the last breakpoint). t must be >= 0.
 func (f *StepFunc) segmentIndex(t float64) int {
@@ -209,45 +199,6 @@ func (f *StepFunc) Integrate(from, to float64) float64 {
 	return sum.Value()
 }
 
-// IntegrateMin returns the integral over [from, to) of min(cap, max(0, f(t))).
-// This is the amount of work a task with degree bound cap can process between
-// from and to when f is the availability profile.
-func (f *StepFunc) IntegrateMin(from, to, capacity float64) float64 {
-	if from < 0 || to < from {
-		panic("stepfunc: bad integration bounds")
-	}
-	if math.IsInf(to, 1) {
-		to = f.times[len(f.times)-1]
-		if f.values[len(f.values)-1] > 0 && capacity > 0 {
-			panic("stepfunc: divergent integral")
-		}
-		if to < from {
-			return 0
-		}
-	}
-	var sum numeric.KahanSum
-	i := f.segmentIndex(from)
-	for ; i < len(f.times); i++ {
-		segStart := math.Max(from, f.times[i])
-		segEnd := to
-		if i+1 < len(f.times) {
-			segEnd = math.Min(to, f.times[i+1])
-		}
-		if segEnd <= segStart {
-			if f.times[i] >= to {
-				break
-			}
-			continue
-		}
-		rate := math.Min(capacity, math.Max(0, f.values[i]))
-		sum.Add(rate * (segEnd - segStart))
-		if segEnd == to {
-			break
-		}
-	}
-	return sum.Value()
-}
-
 // TimeToProcess returns the earliest time C >= from such that a task starting
 // at time from, with degree bound cap, processing at rate min(cap, max(0,f(t)))
 // accumulates volume exactly V by time C. The second return value reports
@@ -313,19 +264,6 @@ func (f *StepFunc) ConsumeMin(from, to, capacity float64) float64 {
 // Min returns the pointwise minimum of f and g as a new step function.
 func Min(f, g *StepFunc) *StepFunc { return combine(f, g, math.Min) }
 
-// Max returns the pointwise maximum of f and g as a new step function.
-func Max(f, g *StepFunc) *StepFunc { return combine(f, g, math.Max) }
-
-// Add returns the pointwise sum of f and g as a new step function.
-func Add(f, g *StepFunc) *StepFunc {
-	return combine(f, g, func(a, b float64) float64 { return a + b })
-}
-
-// Sub returns the pointwise difference f-g as a new step function.
-func Sub(f, g *StepFunc) *StepFunc {
-	return combine(f, g, func(a, b float64) float64 { return a - b })
-}
-
 func combine(f, g *StepFunc, op func(a, b float64) float64) *StepFunc {
 	times := mergeBreakpoints(f.times, g.times)
 	values := make([]float64, len(times))
@@ -357,45 +295,6 @@ func mergeBreakpoints(a, b []float64) []float64 {
 	return out
 }
 
-// MaxValueOn returns the maximum value of f on [from, to).
-func (f *StepFunc) MaxValueOn(from, to float64) float64 {
-	if from < 0 || to <= from {
-		panic("stepfunc: bad bounds")
-	}
-	m := math.Inf(-1)
-	i := f.segmentIndex(from)
-	for ; i < len(f.times); i++ {
-		if f.times[i] >= to {
-			break
-		}
-		if f.values[i] > m {
-			m = f.values[i]
-		}
-	}
-	return m
-}
-
-// MinValueOn returns the minimum value of f on [from, to).
-func (f *StepFunc) MinValueOn(from, to float64) float64 {
-	if from < 0 || to <= from {
-		panic("stepfunc: bad bounds")
-	}
-	m := math.Inf(1)
-	i := f.segmentIndex(from)
-	for ; i < len(f.times); i++ {
-		if f.times[i] >= to {
-			break
-		}
-		if f.values[i] < m {
-			m = f.values[i]
-		}
-	}
-	return m
-}
-
-// LastBreakpoint returns the largest breakpoint time of f.
-func (f *StepFunc) LastBreakpoint() float64 { return f.times[len(f.times)-1] }
-
 // NextBreakpointAfter returns the first breakpoint of f strictly after t, or
 // +Inf if t is at or beyond the last breakpoint. It performs no allocation,
 // so event loops may call it per event.
@@ -406,20 +305,6 @@ func (f *StepFunc) NextBreakpointAfter(t float64) float64 {
 		return math.Inf(1)
 	}
 	return f.times[i]
-}
-
-// TailValue returns the value of f after its last breakpoint.
-func (f *StepFunc) TailValue() float64 { return f.values[len(f.values)-1] }
-
-// Equal reports whether f and g represent the same function up to the default
-// numeric tolerance, comparing them at the union of their breakpoints.
-func Equal(f, g *StepFunc) bool {
-	for _, t := range mergeBreakpoints(f.times, g.times) {
-		if !numeric.ApproxEqual(f.Value(t), g.Value(t)) {
-			return false
-		}
-	}
-	return true
 }
 
 // String renders the step function as a compact human-readable description,

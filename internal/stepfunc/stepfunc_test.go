@@ -124,21 +124,6 @@ func TestIntegrateDivergesPanics(t *testing.T) {
 	f.Integrate(0, math.Inf(1))
 }
 
-func TestIntegrateMin(t *testing.T) {
-	f := mustFromSteps(t, []float64{0, 2, 5}, []float64{3, 1, 0})
-	if got := f.IntegrateMin(0, 5, 2); !numeric.ApproxEqual(got, 2*2+1*3) {
-		t.Errorf("IntegrateMin cap=2 = %g, want 7", got)
-	}
-	if got := f.IntegrateMin(0, 5, 10); !numeric.ApproxEqual(got, 9) {
-		t.Errorf("IntegrateMin cap=10 = %g, want 9", got)
-	}
-	// Negative availability counts as zero.
-	g := mustFromSteps(t, []float64{0, 1}, []float64{-2, 4})
-	if got := g.IntegrateMin(0, 2, 3); !numeric.ApproxEqual(got, 3) {
-		t.Errorf("IntegrateMin with negative piece = %g, want 3", got)
-	}
-}
-
 func TestTimeToProcess(t *testing.T) {
 	f := mustFromSteps(t, []float64{0, 2, 5}, []float64{3, 1, 0})
 	// cap 2: rate 2 on [0,2), rate 1 on [2,5): volume 5 reached at t=3.
@@ -179,51 +164,22 @@ func TestConsumeMin(t *testing.T) {
 	}
 }
 
-func TestMinMaxAddSub(t *testing.T) {
+func TestMinPointwise(t *testing.T) {
 	f := mustFromSteps(t, []float64{0, 2}, []float64{1, 5})
 	g := mustFromSteps(t, []float64{0, 3}, []float64{4, 0})
 	mn := Min(f, g)
-	mx := Max(f, g)
-	sum := Add(f, g)
-	diff := Sub(f, g)
 	points := []float64{0, 1, 2, 2.5, 3, 10}
 	for _, p := range points {
 		if mn.Value(p) != math.Min(f.Value(p), g.Value(p)) {
 			t.Errorf("Min wrong at %g", p)
 		}
-		if mx.Value(p) != math.Max(f.Value(p), g.Value(p)) {
-			t.Errorf("Max wrong at %g", p)
-		}
-		if sum.Value(p) != f.Value(p)+g.Value(p) {
-			t.Errorf("Add wrong at %g", p)
-		}
-		if diff.Value(p) != f.Value(p)-g.Value(p) {
-			t.Errorf("Sub wrong at %g", p)
-		}
 	}
 }
 
-func TestMinMaxValueOn(t *testing.T) {
-	f := mustFromSteps(t, []float64{0, 1, 2}, []float64{3, 7, 1})
-	if f.MaxValueOn(0, 2) != 7 || f.MaxValueOn(0, 1) != 3 {
-		t.Errorf("MaxValueOn wrong")
-	}
-	if f.MinValueOn(0, 3) != 1 || f.MinValueOn(0.5, 2) != 3 {
-		t.Errorf("MinValueOn wrong")
-	}
-}
-
-func TestEqualAndString(t *testing.T) {
-	f := Constant(2)
+func TestString(t *testing.T) {
 	g := Constant(2)
 	g.AddOn(1, 2, 0)
-	if !Equal(f, g) {
-		t.Errorf("Equal failed for equivalent functions")
-	}
 	g.AddOn(1, 2, 1)
-	if Equal(f, g) {
-		t.Errorf("Equal failed to detect difference")
-	}
 	want := "[0,1):2 [1,2):3 [2,inf):2"
 	if g.String() != want {
 		t.Errorf("String = %q, want %q", g.String(), want)
@@ -270,7 +226,7 @@ func TestQuickIntegralAdditivity(t *testing.T) {
 	}
 }
 
-// Property: TimeToProcess is consistent with IntegrateMin — the volume
+// Property: TimeToProcess is consistent with ConsumeMin — the volume
 // processed up to the returned completion time equals the requested volume.
 func TestQuickTimeToProcessConsistency(t *testing.T) {
 	f := func(seed int64) bool {
@@ -278,8 +234,8 @@ func TestQuickTimeToProcessConsistency(t *testing.T) {
 		p := randomProfile(rng)
 		// Keep the profile nonnegative and give it a positive tail so the
 		// processing always terminates.
-		p = Max(p, Constant(0))
-		p.AddOn(p.LastBreakpoint(), math.Inf(1), 1)
+		p = combine(p, Constant(0), math.Max)
+		p.AddOn(p.times[len(p.times)-1], math.Inf(1), 1)
 		capacity := 1 + rng.Float64()*4
 		V := rng.Float64() * 20
 		from := rng.Float64() * 3
@@ -287,7 +243,7 @@ func TestQuickTimeToProcessConsistency(t *testing.T) {
 		if !ok {
 			return false
 		}
-		got := p.IntegrateMin(from, c, capacity)
+		got := p.Clone().ConsumeMin(from, c, capacity)
 		return numeric.ApproxEqualTol(got, V, 1e-6)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
@@ -300,11 +256,11 @@ func TestQuickTimeToProcessConsistency(t *testing.T) {
 func TestQuickConsumeMinConservation(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		p := Max(randomProfile(rng), Constant(0))
+		p := combine(randomProfile(rng), Constant(0), math.Max)
 		capacity := rng.Float64() * 5
 		from := rng.Float64() * 3
 		to := from + rng.Float64()*5
-		horizon := math.Max(p.LastBreakpoint(), to) + 1
+		horizon := math.Max(p.times[len(p.times)-1], to) + 1
 		before := p.Integrate(0, horizon)
 		consumed := p.ConsumeMin(from, to, capacity)
 		after := p.Integrate(0, horizon)

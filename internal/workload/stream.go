@@ -90,9 +90,6 @@ func pooledRand(seed int64) *rand.Rand {
 	return r
 }
 
-// Remaining returns how many arrivals the stream will still emit.
-func (s *Stream) Remaining() int { return s.n - s.emitted }
-
 // Next draws the next arrival. It returns ok=false once the configured
 // number of arrivals has been emitted; it never returns an error (the
 // configuration was fully validated by NewStream), but carries the error

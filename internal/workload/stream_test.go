@@ -47,9 +47,6 @@ func TestStreamMatchesGenerateArrivals(t *testing.T) {
 					t.Fatalf("arrival %d differs: stream %+v vs slice %+v", i, a, want[i])
 				}
 			}
-			if stream.Remaining() != 0 {
-				t.Errorf("drained stream reports %d remaining", stream.Remaining())
-			}
 			// Exhausted streams stay exhausted.
 			if _, ok, _ := stream.Next(); ok {
 				t.Error("drained stream yielded another arrival")

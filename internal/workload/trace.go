@@ -121,33 +121,3 @@ func decodeLine(raw []byte, names nameTable) (schedule.Arrival, error) {
 	err := json.Unmarshal(raw, &a)
 	return a, err
 }
-
-// WriteTrace records a whole arrival slice as JSONL — the convenience form
-// for tests and small captures; streaming producers should drive a
-// TraceWriter directly.
-func WriteTrace(w io.Writer, arrivals []schedule.Arrival) error {
-	tw := NewTraceWriter(w)
-	for _, a := range arrivals {
-		if err := tw.Write(a); err != nil {
-			return err
-		}
-	}
-	return tw.Flush()
-}
-
-// ReadTrace decodes a whole JSONL trace into a slice — the convenience form
-// for tests; replays should pull from a TraceReader and stay O(1) in memory.
-func ReadTrace(r io.Reader) ([]schedule.Arrival, error) {
-	tr := NewTraceReader(r)
-	var out []schedule.Arrival
-	for {
-		a, ok, err := tr.Next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return out, nil
-		}
-		out = append(out, a)
-	}
-}

@@ -47,7 +47,7 @@ func FuzzTraceRoundTrip(f *testing.F) {
 			if got := buf.Bytes(); !bytes.Equal(got, append(want, '\n')) {
 				t.Fatalf("writer encoded %+v as %q, json.Marshal as %q", a, got, want)
 			}
-			back, err := ReadTrace(&buf)
+			back, err := readTrace(&buf)
 			if err != nil {
 				t.Fatalf("wrote %+v but read failed: %v", a, err)
 			}
@@ -68,7 +68,7 @@ func FuzzTraceRoundTrip(f *testing.F) {
 
 		// Backward: arbitrary bytes must never panic the reader, and
 		// anything it accepts must re-encode to a parseable trace.
-		parsed, err := ReadTrace(bytes.NewReader(raw))
+		parsed, err := readTrace(bytes.NewReader(raw))
 		if err != nil {
 			return
 		}
@@ -87,7 +87,7 @@ func FuzzTraceRoundTrip(f *testing.F) {
 		if err := rw.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		again, err := ReadTrace(strings.NewReader(re.String()))
+		again, err := readTrace(strings.NewReader(re.String()))
 		if err != nil {
 			t.Fatalf("re-encoded trace unreadable: %v", err)
 		}

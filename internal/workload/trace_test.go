@@ -29,13 +29,13 @@ func TestTraceRoundTripExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := WriteTrace(&buf, arrivals); err != nil {
+	if err := writeTrace(&buf, arrivals); err != nil {
 		t.Fatal(err)
 	}
 	if lines := strings.Count(buf.String(), "\n"); lines != len(arrivals) {
 		t.Fatalf("trace has %d lines for %d arrivals", lines, len(arrivals))
 	}
-	back, err := ReadTrace(&buf)
+	back, err := readTrace(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestTraceRoundTripExact(t *testing.T) {
 func TestTraceCodecEdges(t *testing.T) {
 	src := "\n{\"task\":{\"weight\":1,\"volume\":2,\"delta\":1},\"release\":0.5}\n\n" +
 		"{\"task\":{\"weight\":2,\"volume\":1,\"delta\":2},\"release\":1,\"tenant\":3}\n"
-	back, err := ReadTrace(strings.NewReader(src))
+	back, err := readTrace(strings.NewReader(src))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestTraceCodecEdges(t *testing.T) {
 		t.Fatalf("parsed %+v", back)
 	}
 
-	if _, err := ReadTrace(strings.NewReader("{\"task\":{}}\nnot json\n")); err == nil {
+	if _, err := readTrace(strings.NewReader("{\"task\":{}}\nnot json\n")); err == nil {
 		t.Error("malformed line accepted")
 	} else if !strings.Contains(err.Error(), "line 2") {
 		t.Errorf("error %v does not name line 2", err)
@@ -147,10 +147,10 @@ func TestTraceReaderCorruptInput(t *testing.T) {
 	})
 
 	t.Run("error is terminal after a good prefix replays", func(t *testing.T) {
-		// ReadTrace surfaces the same line-numbered error as the streaming
+		// readTrace surfaces the same line-numbered error as the streaming
 		// loop would, discarding the partial prefix.
-		if _, err := ReadTrace(strings.NewReader(goodLine + "\n{")); err == nil || !strings.Contains(err.Error(), "line 2") {
-			t.Errorf("ReadTrace error = %v, want line-2 failure", err)
+		if _, err := readTrace(strings.NewReader(goodLine + "\n{")); err == nil || !strings.Contains(err.Error(), "line 2") {
+			t.Errorf("readTrace error = %v, want line-2 failure", err)
 		}
 	})
 }
@@ -239,6 +239,33 @@ var traceBoundaryCases = []struct {
 	{name: "torn last line", line: `{"task":{"weight":1,"vol`, err: "unexpected end of JSON input"},
 }
 
+// writeTrace records a whole arrival slice through a TraceWriter.
+func writeTrace(w io.Writer, arrivals []schedule.Arrival) error {
+	tw := NewTraceWriter(w)
+	for _, a := range arrivals {
+		if err := tw.Write(a); err != nil {
+			return err
+		}
+	}
+	return tw.Flush()
+}
+
+// readTrace decodes a whole JSONL trace through a TraceReader.
+func readTrace(r io.Reader) ([]schedule.Arrival, error) {
+	tr := NewTraceReader(r)
+	var out []schedule.Arrival
+	for {
+		a, ok, err := tr.Next()
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			return out, nil
+		}
+		out = append(out, a)
+	}
+}
+
 // referenceReadTrace is the reader as it was before the fast scanner: every
 // line through json.Unmarshal. It defines the results and error texts the
 // fast path must keep.
@@ -271,7 +298,7 @@ func TestTraceBoundaryCases(t *testing.T) {
 				t.Errorf("fast scanner accepted=%v, want %v", ok, c.fast)
 			}
 			src := good + "\n" + c.line
-			got, err := ReadTrace(strings.NewReader(src))
+			got, err := readTrace(strings.NewReader(src))
 			want, wantErr := referenceReadTrace(strings.NewReader(src))
 			if c.err != "" {
 				if err == nil {
@@ -312,7 +339,7 @@ func replayTrace(tb testing.TB, n int) []byte {
 		tb.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := WriteTrace(&buf, arrivals); err != nil {
+	if err := writeTrace(&buf, arrivals); err != nil {
 		tb.Fatal(err)
 	}
 	return buf.Bytes()

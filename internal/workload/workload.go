@@ -159,15 +159,6 @@ func (g *Generator) Next() *schedule.Instance {
 	return &schedule.Instance{P: p, Tasks: tasks}
 }
 
-// Batch draws count instances.
-func (g *Generator) Batch(count int) []*schedule.Instance {
-	out := make([]*schedule.Instance, count)
-	for i := range out {
-		out[i] = g.Next()
-	}
-	return out
-}
-
 // BandwidthScenario describes the master–worker code-distribution setting of
 // Figure 1 of the paper: a server with outgoing bandwidth P distributes codes
 // of size V_i to workers whose incoming bandwidth is δ_i; worker i then

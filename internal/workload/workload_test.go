@@ -115,14 +115,6 @@ func TestClassStringRoundTrip(t *testing.T) {
 	}
 }
 
-func TestBatch(t *testing.T) {
-	g, _ := NewGenerator(Uniform, 3, 2, 1)
-	batch := g.Batch(7)
-	if len(batch) != 7 {
-		t.Errorf("batch size = %d", len(batch))
-	}
-}
-
 func TestBandwidthScenario(t *testing.T) {
 	b, err := NewBandwidthScenario(5, 3)
 	if err != nil {
