@@ -107,11 +107,7 @@ func TestInternalExportsHaveCallers(t *testing.T) {
 		if d.method != "" {
 			methods[d.method] = true
 		}
-		used := scan.pkgUses[scan.module+"/internal/"+d.key] > 0
-		if d.method != "" {
-			_, std := exportMethodKeep[d.method]
-			used = std || scan.methodUses[d.method] > 0
-		}
+		used := scan.used(d)
 		_, keep := exportKeep[d.key]
 		switch {
 		case keep && used:
@@ -133,6 +129,92 @@ func TestInternalExportsHaveCallers(t *testing.T) {
 		if !methods[name] {
 			t.Errorf("exportMethodKeep names %s, which no method under internal/ is named", name)
 		}
+	}
+}
+
+// TestExportScanRules runs the scan on small modules that each plant one
+// exported identifier under internal/ and check whether the scan counts the
+// code around it as a use.
+func TestExportScanRules(t *testing.T) {
+	const planted = "package stats\n\nfunc Planted() {}\n"
+	const callStats = "import \"example.com/m/internal/stats\"\n\nfunc f() { stats.Planted() }\n"
+	cases := []struct {
+		name  string
+		files map[string]string
+		key   string
+		used  bool
+	}{
+		{"no-caller", map[string]string{
+			"internal/stats/stats.go": planted,
+		}, "stats.Planted", false},
+		{"caller-in-bench", map[string]string{
+			"internal/stats/stats.go": planted,
+			"bench/go.mod":            "module example.com/m/bench\n",
+			"bench/bench.go":          "package bench\n\n" + callStats,
+		}, "stats.Planted", true},
+		{"caller-in-cmd", map[string]string{
+			"internal/stats/stats.go": planted,
+			"cmd/tool/main.go":        "package main\n\n" + callStats,
+		}, "stats.Planted", true},
+		{"caller-in-test-file", map[string]string{
+			"internal/stats/stats.go":      planted,
+			"internal/other/other_test.go": "package other\n\n" + callStats,
+		}, "stats.Planted", false},
+		{"caller-in-testdata", map[string]string{
+			"internal/stats/stats.go":         planted,
+			"internal/other/testdata/main.go": "package main\n\n" + callStats,
+		}, "stats.Planted", false},
+		{"renamed-import", map[string]string{
+			"internal/stats/stats.go": planted,
+			"cmd/tool/main.go":        "package main\n\nimport st \"example.com/m/internal/stats\"\n\nfunc f() { st.Planted() }\n",
+		}, "stats.Planted", true},
+		{"same-name-other-package", map[string]string{
+			"internal/numeric/numeric.go": "package numeric\n\ntype Rat struct{}\n",
+			"cmd/tool/main.go":            "package main\n\nimport \"math/big\"\n\nvar x big.Rat\n",
+		}, "numeric.Rat", false},
+		{"bare-ident-in-own-package", map[string]string{
+			"internal/stats/stats.go": planted + "\nfunc helper() { Planted() }\n",
+		}, "stats.Planted", true},
+		{"self-reference", map[string]string{
+			"internal/stats/stats.go": "package stats\n\nfunc Planted() { Planted() }\n",
+		}, "stats.Planted", false},
+		{"method-by-selector", map[string]string{
+			"internal/stats/stats.go": "package stats\n\ntype S struct{}\n\nfunc (S) Planted() {}\n",
+			"cmd/tool/main.go":        "package main\n\nimport \"example.com/m/internal/stats\"\n\nfunc f() { var s stats.S; s.Planted() }\n",
+		}, "stats.S.Planted", true},
+		{"receiver-is-not-a-type-use", map[string]string{
+			"internal/stats/stats.go": "package stats\n\ntype S struct{}\n\nfunc (S) Planted() S { return S{} }\n",
+		}, "stats.S", false},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			root := t.TempDir()
+			c.files["go.mod"] = "module example.com/m\n"
+			for name, src := range c.files {
+				path := filepath.Join(root, filepath.FromSlash(name))
+				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			scan, err := scanExports(root)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var keys []string
+			for _, d := range scan.decls {
+				keys = append(keys, d.key)
+				if d.key == c.key {
+					if got := scan.used(d); got != c.used {
+						t.Errorf("%s used = %v, want %v", c.key, got, c.used)
+					}
+					return
+				}
+			}
+			t.Errorf("scan declares %v, not %s", keys, c.key)
+		})
 	}
 }
 
@@ -278,6 +360,16 @@ func (s *exportScan) uses(n ast.Node, imports map[string]string, pkgPath, self s
 		}
 		return true
 	})
+}
+
+// used reports whether the scan found a use of d outside its declaration. A
+// method that implements a standard-library interface counts as used.
+func (s *exportScan) used(d exportDecl) bool {
+	if d.method != "" {
+		_, std := exportMethodKeep[d.method]
+		return std || s.methodUses[d.method] > 0
+	}
+	return s.pkgUses[s.module+"/internal/"+d.key] > 0
 }
 
 // receiverType returns the base type name of a method receiver.

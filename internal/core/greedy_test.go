@@ -133,6 +133,56 @@ func TestBestGreedyHeuristicLarge(t *testing.T) {
 	}
 }
 
+// isGreedy reports whether s coincides, up to numeric tolerance, with the
+// greedy schedule of its own completion order: whether Algorithm 3 could have
+// produced it. It is the membership test behind Theorem 11 and Conjecture 12.
+func isGreedy(s *schedule.ColumnSchedule) bool {
+	g, err := Greedy(s.Inst, s.Order)
+	if err != nil {
+		return false
+	}
+	for j := range s.Times {
+		if !numeric.ApproxEqualTol(g.Times[j], s.Times[j], 1e-6) {
+			return false
+		}
+	}
+	for i := range s.Alloc {
+		for j := range s.Alloc[i] {
+			if s.ColumnLength(j) <= numeric.Eps {
+				continue
+			}
+			if !numeric.ApproxEqualTol(g.Alloc[i][j], s.Alloc[i][j], 1e-6) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+func TestIsGreedy(t *testing.T) {
+	// Two identical δ=P tasks: the greedy schedule for the order (0,1) has
+	// completion order (0,1), so it is recognized as greedy; the Cmax-optimal
+	// schedule stretches both tasks to the same completion time and is not.
+	inst := mustInstance(t, 2, []schedule.Task{
+		{Weight: 1, Volume: 2, Delta: 2},
+		{Weight: 1, Volume: 2, Delta: 2},
+	})
+	g, err := Greedy(inst, []int{0, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !isGreedy(g) {
+		t.Errorf("greedy schedule not recognized as greedy")
+	}
+	cm, err := CmaxOptimal(inst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if isGreedy(cm) {
+		t.Errorf("Cmax-optimal schedule wrongly recognized as greedy")
+	}
+}
+
 // unitClassInstance builds an instance of the restricted class of Section
 // V-B: P=1, V_i=1, w_i=1, δ_i in [1/2, 1].
 func unitClassInstance(deltas []float64) *schedule.Instance {

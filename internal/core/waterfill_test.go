@@ -160,6 +160,35 @@ func TestNormalizePreservesCompletionTimes(t *testing.T) {
 	}
 }
 
+// WaterFillFeasible accepts the completion times of a valid schedule and
+// rejects them once they are scaled so that every task finishes before the
+// optimal makespan, which no valid schedule can do.
+func TestWaterFillFeasibleOnWDEQCompletions(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 50; trial++ {
+		inst := randomInstance(rng, 1+rng.Intn(6), float64(1+rng.Intn(4)))
+		s, err := RunWDEQ(inst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		completions := s.CompletionTimes()
+		if !WaterFillFeasible(inst, completions) {
+			t.Fatalf("trial %d: WDEQ completion times %v reported infeasible", trial, completions)
+		}
+		scale := 0.99 * inst.OptimalMakespan() / s.Makespan()
+		tight := make([]float64, len(completions))
+		for i := range tight {
+			tight[i] = completions[i] * scale
+		}
+		if WaterFillFeasible(inst, tight) {
+			t.Fatalf("trial %d: scaled completion times %v reported feasible", trial, tight)
+		}
+		if _, err := WaterFill(inst, tight); err == nil {
+			t.Fatalf("trial %d: WaterFill built a schedule for infeasible completion times", trial)
+		}
+	}
+}
+
 func TestMinimizeMaxLateness(t *testing.T) {
 	inst := mustInstance(t, 2, []schedule.Task{
 		{Weight: 1, Volume: 2, Delta: 2, Due: 1},

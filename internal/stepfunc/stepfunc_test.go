@@ -164,6 +164,25 @@ func TestConsumeMin(t *testing.T) {
 	}
 }
 
+// ConsumeMin takes min(cap, f) where f is positive and nothing where it is
+// negative, and returns the amount it took.
+func TestConsumeMinCappedAndNegative(t *testing.T) {
+	f := mustFromSteps(t, []float64{0, 2, 5}, []float64{3, 1, 0})
+	if got := f.Clone().ConsumeMin(0, 5, 2); !numeric.ApproxEqual(got, 2*2+1*3) {
+		t.Errorf("ConsumeMin cap=2 = %g, want 7", got)
+	}
+	if got := f.Clone().ConsumeMin(0, 5, 10); !numeric.ApproxEqual(got, 9) {
+		t.Errorf("ConsumeMin cap=10 = %g, want 9", got)
+	}
+	g := mustFromSteps(t, []float64{0, 1}, []float64{-2, 4})
+	if got := g.ConsumeMin(0, 2, 3); !numeric.ApproxEqual(got, 3) {
+		t.Errorf("ConsumeMin with negative piece = %g, want 3", got)
+	}
+	if g.Value(0.5) != -2 || g.Value(1.5) != 1 || g.Value(2) != 4 {
+		t.Errorf("profile after consume = %v, want [0,1):-2 [1,2):1 [2,inf):4", g)
+	}
+}
+
 func TestMinPointwise(t *testing.T) {
 	f := mustFromSteps(t, []float64{0, 2}, []float64{1, 5})
 	g := mustFromSteps(t, []float64{0, 3}, []float64{4, 0})
